@@ -6,7 +6,7 @@ Subcommands:
   train    mean-shift a frame's chroma samples into a center file
   ablate   component counts with and without the smoothing filters
   latency  print the classifier latency formula and estimated FPS
-  verify   cross-check a frame against the brute-force oracles
+  verify   cross-check each stage of a frame against its reference
 """
 
 import argparse

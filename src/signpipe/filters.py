@@ -1,10 +1,14 @@
-"""Line-buffered 3x3 sliding-window engine and the two window filters.
+"""The 3x3 window filters and the line-buffered window engine.
 
-The window generator models the hardware discipline: pixels arrive in
-raster order and at most two image rows plus a few shift-register values
-are retained, independent of image height. Both filters (integer Gaussian
-smoothing and median cleanup) run on top of it and use edge replication
-at the borders so output dimensions match the input.
+`gaussian3x3` (integer binomial smoothing) and `median3x3` (class-index
+cleanup) are the production filters: whole-array numpy operations with
+edge replication at the borders, so output dimensions match the input.
+
+`stream_window` models the hardware discipline: pixels arrive in raster
+order and at most two image rows plus a few shift-register values are
+retained, independent of image height. The stream references in
+`oracles` run both filters on it, and the tests and `signpipe verify`
+hold the production filters to them bit for bit.
 """
 
 from dataclasses import dataclass
@@ -128,36 +132,43 @@ def stream_window(width, height, pixels):
                      f"pixels, got more")
 
 
-def _filter_plane(plane, window_fn):
-    h, w = plane.shape
-    out = np.empty((h, w), dtype=np.int64)
-    flat = out.reshape(-1)
-    for i, win in enumerate(stream_window(w, h, plane.reshape(-1).tolist())):
-        flat[i] = window_fn(win.cells)
-    return out
+def _sum3x3(padded, mid):
+    """Weighted sum over every 3x3 window of an edge-padded array.
 
-
-def _gaussian_cell(cells):
-    acc = 0
-    for c, k in zip(cells, GAUSSIAN_KERNEL):
-        acc += c * k
-    return (acc + GAUSSIAN_DIVISOR // 2) >> 4  # divide by 16, round half-up
+    The weights are the outer product of (1, mid, 1) with itself, applied
+    as a vertical then a horizontal pass; the result drops the one-pixel
+    pad, so (H+2, W+2, ...) becomes (H, W, ...).
+    """
+    rows = padded[:-2] + mid * padded[1:-1] + padded[2:]
+    return rows[:, :-2] + mid * rows[:, 1:-1] + rows[:, 2:]
 
 
 def gaussian3x3(img: ImageCbCr) -> ImageCbCr:
-    """Smooth both chroma channels with the binomial kernel / 16."""
-    out = np.empty_like(img.data)
-    for ch in range(2):
-        out[:, :, ch] = _filter_plane(img.data[:, :, ch].astype(np.int64),
-                                      _gaussian_cell)
-    return ImageCbCr(img.width, img.height, out)
+    """Smooth both chroma channels with the binomial kernel / 16.
 
-
-def _median_cell(cells):
-    return sorted(cells)[4]
+    GAUSSIAN_KERNEL is (1, 2, 1) times its transpose, so the 9-tap sum
+    is computed as two 3-tap passes; int16 holds the largest sum, 16*255.
+    """
+    padded = np.pad(img.data.astype(np.int16), ((1, 1), (1, 1), (0, 0)),
+                    mode="edge")
+    acc = _sum3x3(padded, 2)
+    out = (acc + GAUSSIAN_DIVISOR // 2) >> 4  # divide by 16, round half-up
+    return ImageCbCr(img.width, img.height, out.astype(np.uint8))
 
 
 def median3x3(labels: ImageGray) -> ImageGray:
-    """Exact median of each 3x3 window of class indices."""
-    out = _filter_plane(labels.data, _median_cell)
+    """Exact median of each 3x3 window of class indices.
+
+    The median of nine values is the smallest k with at least five of
+    them <= k, so the output starts at the image minimum and rises by one
+    for every level k whose window count of values <= k is below five.
+    One pass per level between the minimum and the maximum: cheap for
+    class indices, slow for planes spanning a wide range of values.
+    """
+    data = labels.data
+    lo, hi = int(data.min()), int(data.max())
+    padded = np.pad(data, 1, mode="edge")
+    out = np.full(data.shape, lo, dtype=np.int32)
+    for k in range(lo, hi):
+        out += _sum3x3((padded <= k).view(np.uint8), 1) < 5
     return ImageGray(labels.width, labels.height, out)

@@ -144,6 +144,12 @@ def load_pnm(raw: bytes) -> ImageRGB:
                            f"got {len(payload)}", pos + len(payload))
         data = np.frombuffer(payload, dtype=np.uint8)
     else:
+        # every sample but the last needs a digit and a separator, so a
+        # header promising more than the payload can hold fails here,
+        # before anything is allocated
+        if len(raw) - pos < 2 * n - 1:
+            raise PnmError(f"truncated payload, {len(raw) - pos} bytes cannot "
+                           f"hold {n} samples", pos)
         values = np.empty(n, dtype=np.uint8)
         for i in range(n):
             v, off = read_int("sample")

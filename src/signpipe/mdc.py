@@ -93,15 +93,36 @@ def classify(file: ClassCenterFile, x):
     return best
 
 
+def _nearest_center_table(file: ClassCenterFile):
+    """(256, 256) int32 table of `classify(file, (cb, cr))` for all inputs."""
+    # a distance is at most 2 * max(255, 2**resolution_bits - 1); the
+    # narrowest type that holds it keeps the per-call table build cheap
+    dtype = np.int16 if file.resolution_bits <= 14 else np.int64
+    levels = np.arange(256, dtype=dtype)
+    best = np.zeros((256, 256), dtype=np.int32)
+    best_d = None
+    for j, (cb, cr) in enumerate(file.centers()):
+        d = np.abs(levels - cb)[:, None] + np.abs(levels - cr)[None, :]
+        if best_d is None:
+            best_d = d
+            continue
+        # strict: a tie keeps the lower class index
+        np.copyto(best, j, where=d < best_d)
+        np.minimum(best_d, d, out=best_d)
+    return best
+
+
 def classify_image(file: ClassCenterFile, img: ImageCbCr) -> ImageGray:
-    """Per-pixel classification of a chroma image into class indices."""
+    """Per-pixel classification of a chroma image into class indices.
+
+    Chroma is 8-bit, so the classifier is tabulated once per call for
+    all 65,536 (Cb, Cr) pairs and each pixel is one table lookup.
+    """
     if file.dims != 2:
         raise ValueError(f"chroma classification needs dims=2, got {file.dims}")
-    pix = img.data.astype(np.int64)
-    centers = np.array(file.centers(), dtype=np.int64)  # (C, 2)
-    dist = np.abs(pix[:, :, None, :] - centers[None, None, :, :]).sum(axis=-1)
-    labels = dist.argmin(axis=-1)  # argmin takes the first minimum: low index wins
-    return ImageGray(img.width, img.height, labels)
+    table = _nearest_center_table(file).reshape(-1)
+    index = (img.data[:, :, 0].astype(np.intp) << 8) | img.data[:, :, 1]
+    return ImageGray(img.width, img.height, table.take(index))
 
 
 # --- cycle-stepped pipeline model ---------------------------------------

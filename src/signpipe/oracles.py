@@ -1,14 +1,22 @@
-"""Brute-force reference implementations for cross-checking.
+"""Reference implementations for cross-checking the production stages.
 
-These deliberately avoid line buffers, merge tables, and pipelining so
-that agreement with the streaming implementations is meaningful
-verification rather than shared code agreeing with itself.
+Each is built on a different algorithm from the code it checks, so that
+agreement is verification rather than shared code agreeing with itself:
+
+- `naive_classify`: a full-scan argmin per feature vector, against the
+  vectorized lookup table of `mdc.classify_image`;
+- `flood_fill_label`: a stack-based flood fill, against the single-pass
+  union-find labeler;
+- `stream_gaussian3x3` and `stream_median3x3`: the hardware-faithful
+  filters, one window per pixel off the two-row line buffer of
+  `filters.stream_window`, against the whole-array numpy filters.
 """
 
 import numpy as np
 
 from .ccl import ComponentFeatures
-from .image import ImageGray
+from .filters import GAUSSIAN_DIVISOR, GAUSSIAN_KERNEL, stream_window
+from .image import ImageCbCr, ImageGray
 
 
 def naive_classify(centers, x):
@@ -59,28 +67,37 @@ def flood_fill_label(seg: ImageGray, skip=frozenset()):
     return ImageGray(w, h, labels), feats
 
 
-def dense_convolve3x3(plane, kernel, divisor):
-    """Direct 9-tap convolution with replicated borders, half-up rounding.
-
-    plane is a 2-D integer array; kernel is 9 row-major taps.
-    """
-    arr = np.asarray(plane, dtype=np.int64)
-    h, w = arr.shape
-    padded = np.pad(arr, 1, mode="edge")
-    out = np.zeros((h, w), dtype=np.int64)
-    for dy in range(3):
-        for dx in range(3):
-            out += kernel[dy * 3 + dx] * padded[dy:dy + h, dx:dx + w]
-    return (out + divisor // 2) // divisor
-
-
-def dense_median3x3(plane):
-    """Gather each 3x3 neighborhood by random access and sort it."""
-    arr = np.asarray(plane)
-    h, w = arr.shape
-    padded = np.pad(arr, 1, mode="edge")
-    out = np.empty((h, w), dtype=arr.dtype)
-    for y in range(h):
-        for x in range(w):
-            out[y, x] = np.sort(padded[y:y + 3, x:x + 3], axis=None)[4]
+def _stream_filter_plane(plane, window_fn):
+    h, w = plane.shape
+    out = np.empty((h, w), dtype=np.int64)
+    flat = out.reshape(-1)
+    for i, win in enumerate(stream_window(w, h, plane.reshape(-1).tolist())):
+        flat[i] = window_fn(win.cells)
     return out
+
+
+def _gaussian_cell(cells):
+    acc = 0
+    for c, k in zip(cells, GAUSSIAN_KERNEL):
+        acc += c * k
+    return (acc + GAUSSIAN_DIVISOR // 2) >> 4  # divide by 16, round half-up
+
+
+def stream_gaussian3x3(img: ImageCbCr) -> ImageCbCr:
+    """The Gaussian filter one window at a time off the line buffer."""
+    out = np.empty_like(img.data)
+    for ch in range(2):
+        out[:, :, ch] = _stream_filter_plane(
+            img.data[:, :, ch].astype(np.int64), _gaussian_cell)
+    return ImageCbCr(img.width, img.height, out)
+
+
+def _median_cell(cells):
+    return sorted(cells)[4]
+
+
+def stream_median3x3(labels: ImageGray) -> ImageGray:
+    """The median filter one window at a time off the line buffer,
+    sorting each window."""
+    out = _stream_filter_plane(labels.data, _median_cell)
+    return ImageGray(labels.width, labels.height, out)

@@ -7,7 +7,7 @@ carries the latency and frame-rate figures of the cycle model so a
 software run documents what the streaming design would deliver.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 
 import numpy as np
@@ -15,7 +15,7 @@ import numpy as np
 from . import oracles
 from .ccl import count_components, label_components
 from .detector import DetectionRule, annotate, detect
-from .filters import GAUSSIAN_DIVISOR, GAUSSIAN_KERNEL, gaussian3x3, median3x3
+from .filters import gaussian3x3, median3x3
 from .image import ImageCbCr, ImageGray, ImageRGB, rgb_to_cbcr
 from .mdc import (ClassCenterFile, PipelineModel, centers_from_json,
                   classify_image, estimate_frame_rate)
@@ -118,10 +118,8 @@ def ablation_stats(config: PipelineConfig, rgb: ImageRGB):
 
     Returns (count_without, count_with, reduction_percent).
     """
-    base = PipelineConfig(config.centers, False, False, config.skip_classes,
-                          config.rule, config.clock_mhz)
-    filt = PipelineConfig(config.centers, True, True, config.skip_classes,
-                          config.rule, config.clock_mhz)
+    base = replace(config, gaussian=False, median=False)
+    filt = replace(config, gaussian=True, median=True)
     without = count_components(segment_frame(base, rgb)[1], config.skip_classes)
     with_ = count_components(segment_frame(filt, rgb)[1], config.skip_classes)
     reduction = 100.0 * (without - with_) / without if without else 0.0
@@ -150,18 +148,13 @@ def render_labels(labels: ImageGray, num_levels=None, color=False) -> ImageRGB:
 
 
 def verify_frame(config: PipelineConfig, rgb: ImageRGB):
-    """Cross-check one frame's streaming stages against the brute-force
-    oracles. Returns a dict of stage name -> bool (True = match)."""
+    """Cross-check one frame's production stages against the references
+    in `oracles`. Returns a dict of stage name -> bool (True = match)."""
     chroma = rgb_to_cbcr(rgb)
     results = {}
 
     smoothed = gaussian3x3(chroma)
-    ok = all(np.array_equal(
-        smoothed.data[:, :, ch],
-        oracles.dense_convolve3x3(chroma.data[:, :, ch].astype(np.int64),
-                                  GAUSSIAN_KERNEL, GAUSSIAN_DIVISOR))
-        for ch in range(2))
-    results["gaussian"] = ok
+    results["gaussian"] = smoothed == oracles.stream_gaussian3x3(chroma)
     if config.gaussian:
         chroma = smoothed
 
@@ -174,8 +167,7 @@ def verify_frame(config: PipelineConfig, rgb: ImageRGB):
     results["classify"] = bool(np.array_equal(seg.data, expected))
 
     filtered = median3x3(seg)
-    results["median"] = bool(np.array_equal(
-        filtered.data, oracles.dense_median3x3(seg.data)))
+    results["median"] = filtered == oracles.stream_median3x3(seg)
     if config.median:
         seg = filtered
 

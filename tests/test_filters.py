@@ -1,21 +1,32 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from signpipe.filters import (GAUSSIAN_DIVISOR, GAUSSIAN_KERNEL,
-                              LineBufferState, gaussian3x3, median3x3,
-                              stream_window)
+from signpipe.filters import (GAUSSIAN_KERNEL, LineBufferState, gaussian3x3,
+                              median3x3, stream_window)
 from signpipe.image import ImageCbCr, ImageGray
-from signpipe.oracles import dense_convolve3x3, dense_median3x3
+from signpipe.oracles import stream_gaussian3x3, stream_median3x3
 
 
 def planes(max_side=10, max_value=255):
-    return st.integers(1, max_side).flatmap(
-        lambda w: st.integers(1, max_side).flatmap(
-            lambda h: st.lists(st.integers(0, max_value),
-                               min_size=w * h, max_size=w * h).map(
-                lambda vals: np.array(vals).reshape(h, w))))
+    """Integer planes up to max_side a side with values in [0, max_value].
+
+    Each plane draws its values from the whole range, from the two ends
+    of the range only, or from a few levels that may skip values and
+    need not include 0.
+    """
+    values = st.integers(0, max_value)
+    levels = st.one_of(
+        st.just(values),
+        st.just(st.sampled_from([0, max_value])),
+        st.lists(values, min_size=1, max_size=3, unique=True).map(
+            st.sampled_from))
+    return st.tuples(st.integers(1, max_side), st.integers(1, max_side),
+                     levels).flatmap(
+        lambda whv: st.lists(whv[2], min_size=whv[0] * whv[1],
+                             max_size=whv[0] * whv[1]).map(
+            lambda vals: np.array(vals).reshape(whv[1], whv[0])))
 
 
 def chroma(plane):
@@ -88,11 +99,13 @@ class TestGaussian:
         assert gaussian3x3(img) == img
 
     @given(planes())
+    @example(np.zeros((4, 3), dtype=int))
+    @example(np.full((3, 5), 255))
+    @example(np.array([[0, 255, 0], [255, 255, 0]]))
     @settings(max_examples=40)
-    def test_matches_dense_oracle(self, plane):
-        out = gaussian3x3(chroma(plane)).data[:, :, 0].astype(int)
-        expected = dense_convolve3x3(plane, GAUSSIAN_KERNEL, GAUSSIAN_DIVISOR)
-        assert np.array_equal(out, expected)
+    def test_matches_stream_reference(self, plane):
+        img = chroma(plane)
+        assert gaussian3x3(img) == stream_gaussian3x3(img)
 
     @given(planes())
     @settings(max_examples=40)
@@ -121,13 +134,14 @@ class TestMedian:
         img = ImageGray(4, 4, np.full((4, 4), 2))
         assert median3x3(img) == img
 
-    @given(planes(max_value=3))
+    @given(planes(max_value=7))
+    @example(np.array([[2, 5, 7, 7], [5, 2, 7, 2], [7, 7, 5, 5]]))
     @settings(max_examples=40)
-    def test_matches_sort_oracle(self, plane):
-        out = median3x3(ImageGray(plane.shape[1], plane.shape[0], plane))
-        assert np.array_equal(out.data, dense_median3x3(plane))
+    def test_matches_stream_reference(self, plane):
+        labels = ImageGray(plane.shape[1], plane.shape[0], plane)
+        assert median3x3(labels) == stream_median3x3(labels)
 
-    @given(planes(max_value=3))
+    @given(planes(max_value=7))
     @settings(max_examples=40)
     def test_output_value_present_in_window(self, plane):
         out = median3x3(ImageGray(plane.shape[1], plane.shape[0], plane))

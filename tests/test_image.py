@@ -51,6 +51,18 @@ class TestLoadPnm:
         with pytest.raises(PnmError, match="truncated"):
             load_pnm(b"P6 2 2 255\n" + bytes(7))
 
+    @pytest.mark.parametrize("raw", [
+        b"P3 100000000 100000000 255 1 2 3",
+        b"P3 2 1 255\n1 2 3 4 5",
+    ], ids=["huge_header", "one_sample_short"])
+    def test_p3_header_larger_than_payload(self, raw):
+        with pytest.raises(PnmError, match="truncated"):
+            load_pnm(raw)
+
+    def test_p3_shortest_payload_accepted(self):
+        img = load_pnm(b"P3 2 1 255 1 2 3 4 5 6")
+        assert img.data.reshape(-1).tolist() == [1, 2, 3, 4, 5, 6]
+
 
 class TestSavePnm:
     def test_white_pixel(self):

@@ -147,6 +147,28 @@ class TestClassifyImage:
                                           tuple(int(v) for v in data[y, x]))
                 assert out.data[y, x] == expected
 
+    @pytest.mark.parametrize("f", [
+        default_file(),
+        # equidistant along whole lines and diamonds of the input plane
+        ClassCenterFile.from_centers([(10, 10), (12, 10), (11, 9), (11, 11)]),
+        ClassCenterFile.from_centers([(0, 0), (255, 255), (0, 255), (255, 0)]),
+        # a duplicated center never wins under its higher index
+        ClassCenterFile.from_centers([(60, 200), (128, 128), (60, 200)]),
+        # 9-bit centers may lie outside the 8-bit chroma range
+        ClassCenterFile.from_centers([(300, 100), (127, 128), (511, 511)],
+                                     resolution_bits=9),
+        ClassCenterFile.from_centers([(40000, 3), (200, 30000), (9, 250)],
+                                     resolution_bits=16),
+    ], ids=["default", "tie_lines", "tie_corners", "duplicate", "9bit",
+            "16bit"])
+    def test_exhaustive_against_scalar_classify(self, f):
+        cb, cr = np.meshgrid(np.arange(256), np.arange(256), indexing="ij")
+        data = np.stack([cb, cr], axis=-1).astype(np.uint8)
+        out = classify_image(f, ImageCbCr(256, 256, data))
+        expected = [[classify(f, (x, y)) for y in range(256)]
+                    for x in range(256)]
+        assert out.data.tolist() == expected
+
     def test_wrong_dimension_count(self):
         f = ClassCenterFile(3, 2)
         with pytest.raises(ValueError):
