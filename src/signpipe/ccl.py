@@ -1,10 +1,14 @@
-"""Single-pass multi-class connected-component labeling with features.
+"""Multi-class 4-connected component labeling with features, over runs.
 
-One raster scan assigns provisional component ids by looking at the left
-and above neighbors (4-connectivity); a union-find merge table resolves
-equivalences discovered when two arms of a component meet. Area, bounding
-box, and centroid sums are accumulated during the same scan and merged on
-union, so no per-pixel revisit is needed for features.
+This is the run-based two-scan labeling of He, Chao & Suzuki (IEEE TIP
+2008). A run is a maximal stretch of one class within one row. Two runs
+of the same (not skipped) class belong together when they overlap
+between adjacent rows; those links are resolved by a whole-array union
+over runs (hook every root to its smallest linked root, then jump
+pointers until each run points at its root), so a component's root is
+its first run in raster order. Area, bounding box and centroid sums are
+accumulated per run: a run of length n at row y covering x0..x1 adds n
+to the area, y*n to sum_y and (x0+x1)*n/2 to sum_x.
 """
 
 from dataclasses import dataclass
@@ -12,37 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .image import ImageGray
-
-
-class MergeTable:
-    """Union-find over provisional ids with path compression."""
-
-    def __init__(self):
-        self.parent = [0]  # id 0 is reserved for skipped pixels
-
-    def make(self):
-        pid = len(self.parent)
-        self.parent.append(pid)
-        return pid
-
-    def find(self, pid):
-        root = pid
-        parent = self.parent
-        while parent[root] != root:
-            root = parent[root]
-        while parent[pid] != root:
-            parent[pid], pid = root, parent[pid]
-        return root
-
-    def union(self, a, b):
-        """Merge two sets; the smaller root survives. Returns (kept, absorbed)."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return ra, ra
-        if rb < ra:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        return ra, rb
 
 
 @dataclass
@@ -72,73 +45,85 @@ class ComponentFeatures:
     def centroid(self):
         return (self.sum_x / self.area, self.sum_y / self.area)
 
-    def merge(self, other):
-        self.area += other.area
-        self.min_x = min(self.min_x, other.min_x)
-        self.min_y = min(self.min_y, other.min_y)
-        self.max_x = max(self.max_x, other.max_x)
-        self.max_y = max(self.max_y, other.max_y)
-        self.sum_x += other.sum_x
-        self.sum_y += other.sum_y
-
 
 def label_components(seg: ImageGray, skip=frozenset()):
-    """Label 4-connected same-class regions in one raster scan.
+    """Label 4-connected same-class regions, numbered in raster order of
+    their first pixel.
 
     Pixels whose class is in `skip` get the reserved id 0 and produce no
     features. Returns (ImageGray of component ids 1..N, list of
     ComponentFeatures in id order).
     """
     h, w = seg.height, seg.width
-    src = seg.data
-    prov = np.zeros((h, w), dtype=np.int32)
-    table = MergeTable()
-    feats = {}  # root id -> ComponentFeatures
+    flat = seg.data.reshape(-1)
+    kept = np.ones(flat.size, dtype=bool)
+    for c in skip:
+        kept &= flat != c
 
-    for y in range(h):
-        row = src[y]
-        prow = prov[y]
-        above = src[y - 1] if y > 0 else None
-        pabove = prov[y - 1] if y > 0 else None
-        left_class = -1
-        left_id = 0
-        for x in range(w):
-            c = row[x]
-            if c in skip:
-                left_class, left_id = c, 0
-                continue
-            pid = 0
-            if left_id and left_class == c:
-                pid = left_id
-            if above is not None and above[x] == c:
-                up = int(pabove[x])
-                if pid == 0:
-                    pid = up
-                elif table.find(pid) != table.find(up):
-                    kept, absorbed = table.union(pid, up)
-                    feats[kept].merge(feats.pop(absorbed))
-                    pid = kept
-            if pid == 0:
-                pid = table.make()
-                feats[pid] = ComponentFeatures(int(c), 0, x, y, x, y, 0, 0)
-            acc = feats[table.find(pid)]
-            acc.area += 1
-            acc.min_x = min(acc.min_x, x)
-            acc.max_x = max(acc.max_x, x)
-            acc.max_y = max(acc.max_y, y)  # min_y never decreases in a raster scan
-            acc.sum_x += x
-            acc.sum_y += y
-            prow[x] = pid
-            left_class, left_id = c, pid
-    # dense final ids, ordered by first encounter (= ascending root id,
-    # since union keeps the smaller root)
-    roots = sorted(feats)
-    final = {root: i + 1 for i, root in enumerate(roots)}
-    remap = np.zeros(len(table.parent), dtype=np.int32)
-    for pid in range(1, len(table.parent)):
-        remap[pid] = final[table.find(pid)]
-    labels = ImageGray(w, h, remap[prov])
-    return labels, [feats[root] for root in roots]
+    # a run starts where the class changes or a row begins
+    is_start = np.empty(flat.size, dtype=bool)
+    is_start[0] = True
+    np.not_equal(flat[1:], flat[:-1], out=is_start[1:])
+    is_start[::w] = True
+    starts = np.flatnonzero(is_start)
+    lengths = np.diff(starts, append=flat.size)
+    run_y, run_x0 = np.divmod(starts, w)
+    run_keep = kept[starts]
+
+    # a kept pixel with the same class above it links the two pixels'
+    # runs. Two runs overlap in one unbroken stretch of links, and within
+    # a stretch the lower run can change only where the upper one does,
+    # so keep the first link of each stretch and of each upper run
+    link = np.flatnonzero((flat[w:] == flat[:-w]) & kept[w:])
+    first = np.ones(link.size, dtype=bool)
+    first[1:] = np.diff(link) != 1
+    first |= is_start[link]
+    link = link[first]
+    upper = np.searchsorted(starts, link, "right") - 1
+    lower = np.searchsorted(starts, link + w, "right") - 1
+
+    # union over runs: hook each root to its smallest linked root, then
+    # pointer-jump to the roots; a component's root is its first run
+    root = np.arange(starts.size)
+    while True:
+        ru, rl = root[upper], root[lower]
+        differ = ru != rl
+        if not differ.any():
+            break
+        upper, lower = upper[differ], lower[differ]
+        np.minimum.at(root, np.maximum(ru, rl)[differ],
+                      np.minimum(ru, rl)[differ])
+        while True:
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root = jumped
+
+    firsts = np.flatnonzero((root == np.arange(starts.size)) & run_keep)
+    comp_of_root = np.zeros(starts.size, dtype=np.int32)
+    comp_of_root[firsts] = np.arange(1, firsts.size + 1, dtype=np.int32)
+    run_comp = comp_of_root[root]  # skipped runs are roots without an id
+    labels = ImageGray(w, h, np.repeat(run_comp, lengths).reshape(h, w))
+
+    # per-run features, gathered into their components
+    k = run_comp[run_keep] - 1
+    y, x0, n = run_y[run_keep], run_x0[run_keep], lengths[run_keep]
+    x1 = x0 + n - 1
+    area = np.zeros(firsts.size, dtype=np.int64)
+    sum_x, sum_y = np.zeros_like(area), np.zeros_like(area)
+    min_x, max_x = np.full_like(area, w), np.zeros_like(area)
+    max_y = np.zeros_like(area)
+    np.add.at(area, k, n)
+    np.add.at(sum_x, k, (x0 + x1) * n // 2)
+    np.add.at(sum_y, k, y * n)
+    np.minimum.at(min_x, k, x0)
+    np.maximum.at(max_x, k, x1)
+    np.maximum.at(max_y, k, y)
+    feats = [ComponentFeatures(*f) for f in zip(
+        flat[starts[firsts]].tolist(), area.tolist(), min_x.tolist(),
+        run_y[firsts].tolist(), max_x.tolist(), max_y.tolist(),
+        sum_x.tolist(), sum_y.tolist())]
+    return labels, feats
 
 
 def count_components(seg: ImageGray, skip=frozenset()):

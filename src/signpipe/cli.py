@@ -49,6 +49,13 @@ def _add_pipeline_args(p):
 def _config_from(args):
     centers = load_centers(args.centers) if args.centers else default_centers()
     skip = frozenset(args.skip_class if args.skip_class is not None else {0})
+    for flag, idx in ([("--skip-class", i) for i in sorted(skip)]
+                      + [("--target-class", args.target_class)]):
+        if not 0 <= idx < centers.num_classes:
+            raise ValueError(f"{flag} {idx} is not a class index in "
+                             f"[0, {centers.num_classes})")
+    if not args.clock_mhz > 0:
+        raise ValueError(f"--clock-mhz must be positive, got {args.clock_mhz}")
     rule = DetectionRule(args.target_class, args.ratio_min, args.ratio_max,
                          args.area_min)
     return PipelineConfig(centers, not args.no_gaussian, not args.no_median,
@@ -132,6 +139,8 @@ def cmd_ablate(args):
 
 
 def cmd_latency(args):
+    if args.dims < 1 or args.classes < 2:
+        raise ValueError("need --dims >= 1 and --classes >= 2")
     model = PipelineModel(args.dims, args.classes)
     fps = estimate_frame_rate(args.clock_mhz * 1e6, args.width, args.height)
     print(f"latency: {model.latency} cycles "
@@ -200,7 +209,11 @@ def main(argv=None):
     p.set_defaults(fn=cmd_synth)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (OSError, ValueError) as exc:
+        # bad flags, files or center JSON: one line and a nonzero exit
+        raise SystemExit(f"signpipe: {exc}")
 
 
 if __name__ == "__main__":

@@ -102,16 +102,17 @@ def load_pnm(raw: bytes) -> ImageRGB:
                 return
 
     def read_token():
+        """The next token and its offset; an empty token at end of data."""
         nonlocal pos
         skip_ws()
         start = pos
         while pos < len(raw) and not raw[pos:pos + 1].isspace():
             pos += 1
-        if pos == start:
-            raise PnmError("unexpected end of header", start)
         return raw[start:pos], start
 
     magic, off = read_token()
+    if not magic:
+        raise PnmError("unexpected end of header", off)
     if magic not in (b"P3", b"P6"):
         raise PnmError(f"unsupported magic {magic!r}, expected P3 or P6", off)
 
@@ -120,6 +121,8 @@ def load_pnm(raw: bytes) -> ImageRGB:
         try:
             return int(tok), off
         except ValueError:
+            if not tok:
+                raise PnmError("unexpected end of header", off) from None
             raise PnmError(f"invalid {what} {tok!r}", off) from None
 
     width, woff = read_int("width")
@@ -152,7 +155,14 @@ def load_pnm(raw: bytes) -> ImageRGB:
                            f"hold {n} samples", pos)
         values = np.empty(n, dtype=np.uint8)
         for i in range(n):
-            v, off = read_int("sample")
+            tok, off = read_token()
+            try:
+                v = int(tok)
+            except ValueError:
+                if not tok:
+                    raise PnmError(f"truncated payload, sample {i} of {n} "
+                                   "is missing", off) from None
+                raise PnmError(f"invalid sample {tok!r}", off) from None
             if not 0 <= v <= 255:
                 raise PnmError(f"sample {v} out of range [0, 255]", off)
             values[i] = v
@@ -167,9 +177,11 @@ def save_pnm(img: ImageRGB) -> bytes:
     return header + img.data.tobytes()
 
 
-# Full-range BT.601 (JPEG/JFIF) chroma coefficients.
-_CB_COEF = np.array([-0.168736, -0.331264, 0.5])
-_CR_COEF = np.array([0.5, -0.418688, -0.081312])
+# Full-range BT.601 (JPEG/JFIF) chroma coefficients, in millionths: every
+# coefficient is an exact multiple of 1e-6, so the conversion is exact in
+# integers.
+_CB_COEF = (-168736, -331264, 500000)
+_CR_COEF = (500000, -418688, -81312)
 
 
 def rgb_to_cbcr(img: ImageRGB) -> ImageCbCr:
@@ -178,11 +190,17 @@ def rgb_to_cbcr(img: ImageRGB) -> ImageCbCr:
     Rounds half-up and clamps to [0, 255]; any achromatic pixel (r=g=b)
     maps exactly to (128, 128).
     """
-    rgb = img.data.astype(np.float64)
-    cb = 128.0 + rgb @ _CB_COEF
-    cr = 128.0 + rgb @ _CR_COEF
-    out = np.stack([cb, cr], axis=-1)
-    out = np.clip(np.floor(out + 0.5), 0, 255).astype(np.uint8)
+    r, g, b = (img.data[:, :, i] for i in range(3))
+    out = np.empty((img.height, img.width, 2), dtype=np.uint8)
+    for ch, (kr, kg, kb) in enumerate((_CB_COEF, _CR_COEF)):
+        # 128 + round-half-up(k . rgb / 1e6); |k . rgb| <= 127.5e6, so
+        # the sum is positive and only the top needs clamping
+        v = r * np.int32(kr)
+        v += g * np.int32(kg)
+        v += b * np.int32(kb)
+        v += 128_500_000
+        v //= 1_000_000
+        out[:, :, ch] = np.minimum(v, 255, out=v)
     return ImageCbCr(img.width, img.height, out)
 
 

@@ -36,6 +36,8 @@ class ClassCenterFile:
             raise ValueError("dims must be >= 1")
         if self.num_classes < 2:
             raise ValueError("num_classes must be >= 2")
+        if not 1 <= self.resolution_bits <= 32:
+            raise ValueError("resolution_bits must be in [1, 32]")
         n = self.dims * self.num_classes
         if self.cells is None:
             self.cells = [0] * n
@@ -235,18 +237,29 @@ def centers_to_json(file: ClassCenterFile) -> str:
 
 
 def centers_from_json(text: str) -> ClassCenterFile:
+    """Parse a center file; a malformed document raises ValueError."""
     doc = json.loads(text)
-    classes = doc["classes"]
-    if not classes:
-        raise ValueError("center file has no classes")
+    classes = doc.get("classes") if isinstance(doc, dict) else None
+    if not isinstance(classes, list) or not classes:
+        raise ValueError('center file needs a non-empty "classes" list')
+    for j, c in enumerate(classes):
+        if not isinstance(c, dict) or "name" not in c or "center" not in c:
+            raise ValueError(f'class {j} needs a "name" and a "center"')
+        center = c["center"]
+        if (not isinstance(center, list)
+                or not all(type(v) is int for v in center)):
+            raise ValueError(f"class {j} center must be a list of integers")
     names = [c["name"] for c in classes]
     centers = [c["center"] for c in classes]
     dims = len(centers[0])
     for c in centers:
         if len(c) != dims:
             raise ValueError("inconsistent center dimensions")
-    return ClassCenterFile.from_centers(
-        centers, resolution_bits=doc.get("resolution_bits", 8), names=names)
+    bits = doc.get("resolution_bits", 8)
+    if type(bits) is not int:
+        raise ValueError(f"resolution_bits must be an integer, got {bits!r}")
+    return ClassCenterFile.from_centers(centers, resolution_bits=bits,
+                                        names=names)
 
 
 def load_centers(path) -> ClassCenterFile:

@@ -5,8 +5,8 @@ agreement is verification rather than shared code agreeing with itself:
 
 - `naive_classify`: a full-scan argmin per feature vector, against the
   vectorized lookup table of `mdc.classify_image`;
-- `flood_fill_label`: a stack-based flood fill, against the single-pass
-  union-find labeler;
+- `flood_fill_label`: a per-pixel stack-based flood fill, against the
+  run-based labeler of `ccl.label_components`;
 - `stream_gaussian3x3` and `stream_median3x3`: the hardware-faithful
   filters, one window per pixel off the two-row line buffer of
   `filters.stream_window`, against the whole-array numpy filters.
@@ -33,7 +33,7 @@ def flood_fill_label(seg: ImageGray, skip=frozenset()):
     """Stack-based 4-connected flood fill, scanning in raster order.
 
     Returns (ImageGray of component ids 1..N, list of ComponentFeatures),
-    the same contract as the single-pass labeler.
+    the same contract as `ccl.label_components`.
     """
     h, w = seg.height, seg.width
     src = seg.data

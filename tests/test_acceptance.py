@@ -111,7 +111,7 @@ def test_criterion_6_ccl_oracle_equivalence():
         exp_img, exp = flood_fill_label(img, skip={0})
         assert np.array_equal(got_img.data, exp_img.data)
         assert got == exp
-    report(6, "single-pass labeler matches flood fill on 1000 random images")
+    report(6, "run-based labeler matches flood fill on 1000 random images")
 
 
 def test_criterion_7_filter_oracle_equivalence():

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -135,3 +139,49 @@ def test_synth_subcommand(tmp_path):
 def test_missing_file_exits(tmp_path):
     with pytest.raises(SystemExit):
         main(["detect", str(tmp_path / "nope.ppm")])
+
+
+@pytest.mark.parametrize("argv", [
+    ["detect", "{frame}", "--ratio-min", "abc"],
+    ["detect", "{frame}", "--ratio-min", "5"],
+    ["detect", "{frame}", "--skip-class", "9"],
+    ["detect", "{frame}", "--target-class", "9"],
+    ["detect", "{frame}", "--skip-class", "9", "--target-class", "9"],
+    ["segment", "{frame}", "--target-class", "-1"],
+    ["detect", "{frame}", "--centers", "{no_name}"],
+    ["detect", "{frame}", "--centers", "{tmp}/missing.json"],
+    ["detect", "{frame}", "--clock-mhz", "0"],
+    ["detect", "{frame}", "--out-report", "{tmp}/no/such/dir/r.json"],
+    ["train", "{frame}", "--bandwidth", "0"],
+    ["latency", "--classes", "1"],
+    ["synth", "{tmp}/s.ppm", "--width", "0"],
+], ids=["ratio_not_a_number", "ratio_min_above_max", "skip_class_range",
+        "target_class_range", "both_class_flags", "negative_target",
+        "center_without_name", "missing_center_file", "zero_clock",
+        "unwritable_output", "zero_bandwidth", "one_class", "zero_width"])
+def test_bad_input_exits_with_one_line(argv, frame_path, tmp_path):
+    no_name = tmp_path / "no_name.json"
+    no_name.write_text('{"classes": [{"center": [127, 128]},'
+                       ' {"name": "yellow", "center": [88, 151]}]}')
+    argv = [a.format(frame=frame_path, no_name=no_name, tmp=tmp_path)
+            for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    # a string code is printed to stderr as one line, with exit status 1
+    message = exc.value.code
+    assert isinstance(message, str) and message.startswith("signpipe: ")
+    assert "\n" not in message
+
+
+def test_bad_flag_in_subprocess(frame_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"),
+         os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "signpipe.cli", "detect", str(frame_path),
+         "--skip-class", "9", "--target-class", "9"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode != 0
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "signpipe: --skip-class 9 is not a class index in [0, 4)"]

@@ -59,6 +59,11 @@ class TestLoadPnm:
         with pytest.raises(PnmError, match="truncated"):
             load_pnm(raw)
 
+    def test_p3_missing_sample_reports_payload(self):
+        # long enough in bytes to pass the size check, one sample short
+        with pytest.raises(PnmError, match="truncated payload, sample 5 of 6"):
+            load_pnm(b"P3 2 1 255\n1 2 3 4 56")
+
     def test_p3_shortest_payload_accepted(self):
         img = load_pnm(b"P3 2 1 255 1 2 3 4 5 6")
         assert img.data.reshape(-1).tolist() == [1, 2, 3, 4, 5, 6]
@@ -104,6 +109,26 @@ class TestRgbToCbcr:
         out = rgb_to_cbcr(img)
         assert out.data.dtype == np.uint8
         assert (out.width, out.height) == (img.width, img.height)
+
+    def test_exhaustive_against_float_formula(self):
+        # every 2^24 RGB input, 16 red levels at a time, against the
+        # float64 BT.601 formula: 128 + coefficients . rgb, rounded
+        # half-up and clamped
+        cb_coef = np.array([-0.168736, -0.331264, 0.5])
+        cr_coef = np.array([0.5, -0.418688, -0.081312])
+        gb = np.stack(np.meshgrid(np.arange(256), np.arange(256),
+                                  indexing="ij"), axis=-1).reshape(1, -1, 2)
+        for r0 in range(0, 256, 16):
+            red = np.broadcast_to(np.arange(r0, r0 + 16)[:, None, None],
+                                  (16, gb.shape[1], 1))
+            rgb = np.concatenate([red, np.broadcast_to(gb, (16,) + gb.shape[1:])],
+                                 axis=-1).astype(np.uint8)
+            f = rgb.astype(np.float64)
+            expected = np.stack([128.0 + f @ cb_coef, 128.0 + f @ cr_coef],
+                                axis=-1)
+            expected = np.clip(np.floor(expected + 0.5), 0, 255)
+            got = rgb_to_cbcr(ImageRGB(rgb.shape[1], 16, rgb)).data
+            assert np.array_equal(got, expected), f"red levels {r0}..{r0 + 15}"
 
     def test_inverse_is_close_for_midrange_chroma(self):
         # round trip through the synthetic-frame path stays within 1 level

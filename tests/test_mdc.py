@@ -242,3 +242,27 @@ class TestCenterFileFormat:
         g = centers_from_json(text)
         assert g.names[1] == "yellow"
         assert classify(g, (88, 151)) == 1
+
+    @pytest.mark.parametrize("text", [
+        '{"resolution_bits": 8}',
+        '[]',
+        '{"classes": []}',
+        '{"classes": [{"center": [1, 2]}, {"name": "b", "center": [3, 4]}]}',
+        '{"classes": [{"name": "a"}, {"name": "b", "center": [3, 4]}]}',
+        '{"classes": ["a", "b"]}',
+        '{"classes": [{"name": "a", "center": [1, "2"]},'
+        ' {"name": "b", "center": [3, 4]}]}',
+        '{"classes": [{"name": "a", "center": [1, 2]},'
+        ' {"name": "b", "center": [3]}]}',
+        '{"resolution_bits": 100000000000, "classes": [{"name": "a",'
+        ' "center": [1, 2]}, {"name": "b", "center": [3, 4]}]}',
+        '{"resolution_bits": "8", "classes": [{"name": "a",'
+        ' "center": [1, 2]}, {"name": "b", "center": [3, 4]}]}',
+        'not json',
+    ], ids=["no_classes", "not_an_object", "empty_classes", "no_name",
+            "no_center", "class_not_object", "non_integer_cell",
+            "ragged_dims", "huge_resolution", "string_resolution",
+            "not_json"])
+    def test_malformed_raises_value_error(self, text):
+        with pytest.raises(ValueError):
+            centers_from_json(text)
