@@ -9,7 +9,9 @@ agreement is verification rather than shared code agreeing with itself:
   run-based labeler of `ccl.label_components`;
 - `stream_gaussian3x3` and `stream_median3x3`: the hardware-faithful
   filters, one window per pixel off the two-row line buffer of
-  `filters.stream_window`, against the whole-array numpy filters.
+  `filters.stream_window`, against the whole-array numpy filters;
+- `loop_converge`: mean shift one seed at a time, each step scanning every
+  sample, against the trainer's batched steps over distinct chroma values.
 """
 
 import numpy as np
@@ -101,3 +103,26 @@ def stream_median3x3(labels: ImageGray) -> ImageGray:
     sorting each window."""
     out = _stream_filter_plane(labels.data, _median_cell)
     return ImageGray(labels.width, labels.height, out)
+
+
+def loop_converge(samples, config):
+    """Flat-kernel mean shift one seed at a time; each step scans every
+    sample. Returns the convergence points in seed order, normalized, the
+    same contract as `trainer.converge`."""
+    pts = np.asarray(samples, dtype=np.float64)
+    pts = pts / 255.0
+    seeds = pts[::config.seed_stride]
+
+    converged = np.empty_like(seeds)
+    for i, seed in enumerate(seeds):
+        y = seed
+        for _ in range(config.max_iterations):
+            d2 = ((pts - y) ** 2).sum(axis=1)
+            inside = pts[d2 <= config.bandwidth ** 2]
+            new = inside.mean(axis=0) if len(inside) else y
+            shift = np.hypot(*(new - y))
+            y = new
+            if shift < config.tolerance:
+                break
+        converged[i] = y
+    return converged

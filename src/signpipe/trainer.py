@@ -1,17 +1,49 @@
 """Mean-shift clustering over chroma samples to train class centers.
 
-Flat-kernel mode seeking: every seed iterates to the mean of the samples
-within the bandwidth radius until the shift is below tolerance, then
-nearby convergence points collapse into modes. Features are normalized to
+Flat-kernel mode seeking (Comaniciu & Meer, TPAMI 2002): every seed, one
+sample in `seed_stride`, moves to the mean of the samples within the
+bandwidth radius until the shift is below tolerance, then nearby
+convergence points collapse into modes. Features are normalized to
 [0, 1] before the bandwidth applies, so the bandwidth is dimensionless.
-The algorithm is deterministic for a fixed sample order and seed stride.
+
+Chroma is 8-bit, so a frame holds few distinct (Cb, Cr) values, and a
+seed's path depends only on its value. `converge` therefore works in two
+phases:
+
+1. Every distinct seed value steps at once against the distinct sample
+   values, a block of seeds at a time. The neighborhood sums are a
+   float64 product of the 0/1 mask with (count, count*Cb, count*Cr);
+   these are integers below 2**53, so the sums are exact. The distance
+   and the stop test are the per-seed loop's own expressions. Each seed
+   keeps the point its last step starts from.
+2. From each distinct such point the last step is taken again over the
+   original samples, as the per-seed loop takes it: the mean of the
+   samples within the bandwidth, summed in sample order.
+
+A flat kernel's step depends only on which samples fall inside the
+radius. Phase 1's points differ from the per-seed loop's only by the
+rounding of the sums, so both select the same samples at every step and
+stop at the same step, and phase 2 returns the loop's convergence points
+bit for bit. The exception is a sample within that rounding of the
+radius, or a shift within it of the tolerance, which can send a phase-1
+path another way. `oracles.loop_converge` is the per-seed loop, kept as
+the reference.
+
+The merge is greedy and order-dependent; it runs over the seeds in
+sample order. The algorithm is deterministic for a fixed sample order
+and seed stride.
 """
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+
+# elements of each (seeds x distinct values) buffer of a step: 2 MB of
+# float64, whatever the sample count
+_BLOCK = 1 << 18
 
 
 @dataclass
@@ -25,10 +57,14 @@ class MeanShiftConfig:
     def __post_init__(self):
         if self.merge_radius is None:
             self.merge_radius = self.bandwidth / 2
-        if self.bandwidth <= 0 or self.tolerance <= 0 or self.merge_radius <= 0:
-            raise ValueError("bandwidth, tolerance, and merge_radius must be > 0")
-        if self.seed_stride < 1:
-            raise ValueError("seed_stride must be >= 1")
+        for name in ("bandwidth", "tolerance", "merge_radius"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        for name in ("max_iterations", "seed_stride"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass
@@ -45,32 +81,102 @@ def mean_shift(samples, config: MeanShiftConfig = None) -> ClusterResult:
     """Cluster (Cb, Cr) samples; returns modes sorted by descending support."""
     if config is None:
         config = MeanShiftConfig()
+    return merge_modes(converge(samples, config), config.merge_radius)
+
+
+def converge(samples, config: MeanShiftConfig) -> np.ndarray:
+    """Convergence point of every seed, in seed order, normalized to [0, 1].
+
+    Samples must be integer (Cb, Cr) values in [0, 255].
+    """
     pts = np.asarray(samples, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[0] == 0 or pts.shape[1] != 2:
         raise ValueError("samples must be a non-empty list of (Cb, Cr) pairs")
-    pts = pts / 255.0
-    seeds = pts[::config.seed_stride]
+    if not ((pts >= 0) & (pts <= 255) & (pts == np.floor(pts))).all():
+        raise ValueError("samples must be integer (Cb, Cr) values in [0, 255]")
+    keys = (pts[:, 0] * 256 + pts[:, 1]).astype(np.intp)
+    values, sample_value = _distinct(keys)
+    seeds, seed_slot = _distinct(keys[::config.seed_stride])
+    counts = np.bincount(sample_value, minlength=len(values))
+    starts, inside = _last_steps(seeds, values, counts, config)
 
-    converged = np.empty_like(seeds)
-    for i, seed in enumerate(seeds):
-        y = seed
-        for _ in range(config.max_iterations):
-            d2 = ((pts - y) ** 2).sum(axis=1)
-            inside = pts[d2 <= config.bandwidth ** 2]
-            new = inside.mean(axis=0) if len(inside) else y
-            shift = np.hypot(*(new - y))
-            y = new
-            if shift < config.tolerance:
+    # phase 2: each last step again, over the samples in sample order,
+    # once per distinct neighborhood, which is all the step depends on
+    pts = pts / 255.0    # a new array: samples may be the caller's
+    ends = {}
+    final = starts       # each start is replaced by its step's end
+    for i, packed in enumerate(inside):
+        if not packed.any():
+            continue     # an empty neighborhood leaves the point put
+        key = packed.tobytes()
+        if key not in ends:
+            hit = np.unpackbits(packed, count=len(values)).view(bool)
+            ends[key] = pts[hit[sample_value]].mean(axis=0)
+        final[i] = ends[key]
+    return final[seed_slot]
+
+
+def _distinct(keys):
+    """The distinct keys, ascending, and each key's index among them."""
+    present = np.zeros(1 << 16, dtype=bool)
+    present[keys] = True
+    values = np.flatnonzero(present)
+    rank = np.empty(1 << 16, dtype=np.intp)
+    rank[values] = np.arange(len(values))
+    return values, rank[keys]
+
+
+def _last_steps(seeds, values, weights, config):
+    """Phase 1: step the distinct seed keys against the distinct sample
+    keys `values`, weighted by their counts. Returns, per seed, the point
+    its last step starts from and that step's neighborhood, a packed bit
+    row over `values`."""
+    cb, cr = values >> 8, values & 255
+    u_cb, u_cr = cb / 255.0, cr / 255.0
+    sums_of = np.column_stack([weights, weights * cb, weights * cr]
+                              ).astype(np.float64)
+    bw2 = config.bandwidth ** 2
+    y = np.column_stack([seeds >> 8, seeds & 255]) / 255.0
+    starts = np.empty_like(y)
+    inside = np.empty((len(seeds), (len(values) + 7) // 8), dtype=np.uint8)
+    rows = max(1, min(len(seeds), _BLOCK // len(values)))
+    buf = np.empty((2, rows, len(values)))
+    for lo in range(0, len(seeds), rows):
+        active = np.arange(lo, min(lo + rows, len(seeds)))
+        for step in range(config.max_iterations):
+            p = y[active]
+            # the same float operations as the loop's distance, so the
+            # same values fall inside the radius
+            d2, dcr = buf[0, :len(p)], buf[1, :len(p)]
+            np.square(np.subtract(u_cb, p[:, :1], out=d2), out=d2)
+            np.square(np.subtract(u_cr, p[:, 1:], out=dcr), out=dcr)
+            d2 += dcr
+            np.less_equal(d2, bw2, out=d2)     # the 0/1 mask, in place
+            sums = d2 @ sums_of                # integers, exact
+            n = sums[:, :1]
+            new = np.where(n > 0, sums[:, 1:] / np.maximum(n, 1) / 255.0, p)
+            shift = np.hypot(*(new - p).T)
+            last = shift < config.tolerance
+            if step == config.max_iterations - 1:
+                last[:] = True
+            starts[active[last]] = p[last]
+            inside[active[last]] = np.packbits(d2[last] != 0, axis=1)
+            y[active] = new
+            active = active[~last]
+            if not len(active):
                 break
-        converged[i] = y
+    return starts, inside
 
-    # greedy merge of convergence points within the merge radius,
-    # support-weighted so dense basins dominate the mode position
+
+def merge_modes(converged, merge_radius) -> ClusterResult:
+    """Greedy merge of convergence points within the merge radius, in
+    seed order, support-weighted so dense basins dominate the mode
+    position."""
     modes = []    # normalized running means
     support = []
     for y in converged:
         for k, m in enumerate(modes):
-            if np.hypot(*(y - m)) <= config.merge_radius:
+            if np.hypot(*(y - m)) <= merge_radius:
                 modes[k] = (m * support[k] + y) / (support[k] + 1)
                 support[k] += 1
                 break

@@ -153,12 +153,15 @@ def test_missing_file_exits(tmp_path):
     ["detect", "{frame}", "--clock-mhz", "0"],
     ["detect", "{frame}", "--out-report", "{tmp}/no/such/dir/r.json"],
     ["train", "{frame}", "--bandwidth", "0"],
+    ["train", "{frame}", "--bandwidth", "nan"],
+    ["train", "{frame}", "--bandwidth", "inf"],
     ["latency", "--classes", "1"],
     ["synth", "{tmp}/s.ppm", "--width", "0"],
 ], ids=["ratio_not_a_number", "ratio_min_above_max", "skip_class_range",
         "target_class_range", "both_class_flags", "negative_target",
         "center_without_name", "missing_center_file", "zero_clock",
-        "unwritable_output", "zero_bandwidth", "one_class", "zero_width"])
+        "unwritable_output", "zero_bandwidth", "nan_bandwidth",
+        "infinite_bandwidth", "one_class", "zero_width"])
 def test_bad_input_exits_with_one_line(argv, frame_path, tmp_path):
     no_name = tmp_path / "no_name.json"
     no_name.write_text('{"classes": [{"center": [127, 128]},'

@@ -1,11 +1,18 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from signpipe import trainer
+from signpipe.image import rgb_to_cbcr
 from signpipe.mdc import centers_from_json, centers_to_json, ClassCenterFile
+from signpipe.oracles import loop_converge
+from signpipe.synthetic import disc_frame
 from signpipe.trainer import (ClusterResult, MeanShiftConfig, centers_to_file,
-                              mean_shift)
+                              converge, mean_shift, merge_modes)
 
 
 def two_blobs(seed=7, n=500, sigma=3.0):
@@ -69,10 +76,113 @@ class TestMeanShift:
             mean_shift([], MeanShiftConfig())
 
     def test_config_validation(self):
+        for kwargs in ({"bandwidth": 0}, {"bandwidth": float("nan")},
+                       {"bandwidth": float("inf")},
+                       {"tolerance": float("nan")}, {"tolerance": -1e-4},
+                       {"merge_radius": float("inf")},
+                       {"max_iterations": 0}, {"max_iterations": -1},
+                       {"max_iterations": 2.5}, {"seed_stride": 0}):
+            with pytest.raises(ValueError):
+                MeanShiftConfig(**kwargs)
+
+    @pytest.mark.parametrize("samples", [
+        [(300, 5)], [(-7, 3)], [(float("nan"), 3)], [(1.5, 2)],
+        [(1, 2, 3)], [1, 2], [[1, 2], [3]],
+    ])
+    def test_samples_must_be_chroma_bytes(self, samples):
         with pytest.raises(ValueError):
-            MeanShiftConfig(bandwidth=0)
-        with pytest.raises(ValueError):
-            MeanShiftConfig(seed_stride=0)
+            mean_shift(samples, MeanShiftConfig())
+
+    def test_caller_samples_untouched(self):
+        samples = two_blobs(n=20)
+        before = samples.copy()
+        mean_shift(samples, MeanShiftConfig(bandwidth=0.08))
+        assert np.array_equal(samples, before)
+
+    def test_peak_memory_is_bounded(self):
+        # 16,384 samples, 77% of them distinct values: a step holds two
+        # blocks of trainer._BLOCK float64 (4 MB) at any sample count
+        rng = np.random.default_rng(5)
+        corners = np.array([[64, 64], [64, 192], [192, 64], [192, 192]])
+        samples = np.clip(np.rint(corners[rng.integers(0, 4, 16384)]
+                                  + rng.normal(0, 24, (16384, 2))), 0, 255)
+        tracemalloc.start()
+        try:
+            res = mean_shift(samples,
+                             MeanShiftConfig(bandwidth=0.2, seed_stride=16))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(res.modes) == 4
+        assert peak < 16 * 2**20
+
+
+# (samples, config) pairs the trainer must reproduce bit for bit
+EXAMPLES = {
+    "identical": ([(88, 151)] * 12, MeanShiftConfig()),
+    # (103 - 100) / 255 rounds to just outside the radius, 3 / 255 to on it
+    "one_bandwidth_apart": ([(100, 100), (103, 100), (0, 0), (3, 0)],
+                            MeanShiftConfig(bandwidth=3 / 255, seed_stride=1)),
+    "stops_at_max_iterations": (two_blobs(n=60, sigma=9.0),
+                                MeanShiftConfig(bandwidth=0.08,
+                                                max_iterations=2)),
+    "stride_above_n": ([(10, 10), (12, 11), (200, 3)],
+                       MeanShiftConfig(bandwidth=0.05, seed_stride=5)),
+    "two_blobs": (two_blobs(), MeanShiftConfig(bandwidth=0.08)),
+    "two_blobs_stride_1": (two_blobs(n=100),
+                           MeanShiftConfig(bandwidth=0.08, seed_stride=1)),
+    "noisy_disc": (rgb_to_cbcr(disc_frame(48, 48, 12, 5, 6.0, 3))
+                   .data.reshape(-1, 2),
+                   MeanShiftConfig(bandwidth=0.05, seed_stride=2)),
+}
+
+
+@st.composite
+def training_sets(draw):
+    """Clusters plus uniform noise, 1-400 integer samples, in drawn order."""
+    byte = st.integers(0, 255)
+    centers = draw(st.lists(st.tuples(byte, byte), min_size=1, max_size=3))
+    r = draw(st.integers(0, 12))
+    near = st.builds(lambda c, dx, dy: (min(max(c[0] + dx, 0), 255),
+                                        min(max(c[1] + dy, 0), 255)),
+                     st.sampled_from(centers), st.integers(-r, r),
+                     st.integers(-r, r))
+    samples = (draw(st.lists(near, max_size=300))
+               + draw(st.lists(st.tuples(byte, byte), max_size=100)))
+    if not samples:
+        samples = [draw(st.tuples(byte, byte))]
+    return draw(st.permutations(samples))
+
+
+class TestAgainstLoopReference:
+    @pytest.mark.parametrize("name", EXAMPLES)
+    def test_converged_points_bit_identical(self, name):
+        samples, cfg = EXAMPLES[name]
+        assert np.array_equal(converge(samples, cfg),
+                              loop_converge(samples, cfg))
+
+    @settings(max_examples=60, deadline=None)
+    @given(samples=training_sets(),
+           bandwidth=st.floats(0.01, 0.5),
+           stride=st.integers(1, 5),
+           max_iterations=st.one_of(st.just(500), st.integers(1, 4)))
+    def test_same_modes_and_support(self, samples, bandwidth, stride,
+                                    max_iterations):
+        cfg = MeanShiftConfig(bandwidth=bandwidth, seed_stride=stride,
+                              max_iterations=max_iterations)
+        got = mean_shift(samples, cfg)
+        want = merge_modes(loop_converge(samples, cfg), cfg.merge_radius)
+        assert got.modes == want.modes
+        assert got.support == want.support
+
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    def test_small_blocks(self, rows, monkeypatch):
+        # phase 1 steps `rows` distinct seeds per block
+        samples, cfg = EXAMPLES["noisy_disc"]
+        distinct = len({tuple(s) for s in samples.tolist()})
+        monkeypatch.setattr(trainer, "_BLOCK", rows * distinct)
+        assert np.array_equal(converge(samples, cfg),
+                              loop_converge(samples, cfg))
 
 
 class TestCentersToFile:
