@@ -6,8 +6,7 @@ from .filters import Window3x3, gaussian3x3, median3x3, stream_window
 from .image import (ImageCbCr, ImageGray, ImageRGB, PnmError, cbcr_to_rgb,
                     load_pnm, rgb_to_cbcr, save_pnm)
 from .mdc import (ClassCenterFile, PipelineModel, classify, classify_image,
-                  estimate_frame_rate, manhattan_distance, program_center,
-                  simulate_pipeline)
+                  estimate_frame_rate, program_center, simulate_pipeline)
 from .pipeline import (FrameReport, PipelineConfig, ablation_stats,
                        default_centers, run_pipeline, verify_frame)
 from .trainer import ClusterResult, MeanShiftConfig, centers_to_file, mean_shift

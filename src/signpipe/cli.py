@@ -15,7 +15,8 @@ import sys
 
 from .detector import DetectionRule
 from .image import load_pnm, rgb_to_cbcr, save_pnm
-from .mdc import PipelineModel, estimate_frame_rate, load_centers
+from .mdc import (PipelineModel, centers_from_json, estimate_frame_rate,
+                  load_centers)
 from .pipeline import (DEFAULT_CLOCK_MHZ, PipelineConfig, ablation_stats,
                        default_centers, render_labels, run_pipeline,
                        verify_frame)
@@ -54,8 +55,6 @@ def _config_from(args):
         if not 0 <= idx < centers.num_classes:
             raise ValueError(f"{flag} {idx} is not a class index in "
                              f"[0, {centers.num_classes})")
-    if not args.clock_mhz > 0:
-        raise ValueError(f"--clock-mhz must be positive, got {args.clock_mhz}")
     rule = DetectionRule(args.target_class, args.ratio_min, args.ratio_max,
                          args.area_min)
     return PipelineConfig(centers, not args.no_gaussian, not args.no_median,
@@ -120,6 +119,7 @@ def cmd_train(args):
     names = (args.names.split(",") if args.names
              else [f"class{i}" for i in range(len(result.modes))])
     text = centers_to_file(result, names)
+    centers_from_json(text)  # refuse a file `detect` would refuse
     if args.out_centers:
         _write(args.out_centers, text)
     else:

@@ -20,68 +20,39 @@ class PnmError(ValueError):
 
 
 @dataclass(eq=False)
-class ImageRGB:
+class _Image:
+    """Pixel data as a C-contiguous (height, width) + `channels` array of
+    `dtype`; equal to an image of the same type, size and pixels."""
     width: int
     height: int
-    data: np.ndarray  # (height, width, 3) uint8
+    data: np.ndarray
 
     def __post_init__(self):
-        _check_dims(self.width, self.height)
-        self.data = np.ascontiguousarray(self.data, dtype=np.uint8)
-        if self.data.shape != (self.height, self.width, 3):
-            raise ValueError(f"RGB data shape {self.data.shape} does not match "
-                             f"{self.height}x{self.width}x3")
+        if self.width < 1 or self.height < 1:
+            raise ValueError(f"image dimensions must be >= 1, "
+                             f"got {self.width}x{self.height}")
+        self.data = np.ascontiguousarray(self.data, dtype=self.dtype)
+        shape = (self.height, self.width) + self.channels
+        if self.data.shape != shape:
+            raise ValueError(f"{type(self).__name__} data shape "
+                             f"{self.data.shape} does not match {shape}")
 
     def __eq__(self, other):
-        return (isinstance(other, ImageRGB)
-                and self.width == other.width and self.height == other.height
-                and np.array_equal(self.data, other.data))
-
-    def copy(self):
-        return ImageRGB(self.width, self.height, self.data.copy())
-
-
-@dataclass(eq=False)
-class ImageCbCr:
-    width: int
-    height: int
-    data: np.ndarray  # (height, width, 2) uint8, channels (Cb, Cr)
-
-    def __post_init__(self):
-        _check_dims(self.width, self.height)
-        self.data = np.ascontiguousarray(self.data, dtype=np.uint8)
-        if self.data.shape != (self.height, self.width, 2):
-            raise ValueError(f"CbCr data shape {self.data.shape} does not match "
-                             f"{self.height}x{self.width}x2")
-
-    def __eq__(self, other):
-        return (isinstance(other, ImageCbCr)
+        return (isinstance(other, type(self))
                 and self.width == other.width and self.height == other.height
                 and np.array_equal(self.data, other.data))
 
 
-@dataclass(eq=False)
-class ImageGray:
-    width: int
-    height: int
-    data: np.ndarray  # (height, width) int32
-
-    def __post_init__(self):
-        _check_dims(self.width, self.height)
-        self.data = np.ascontiguousarray(self.data, dtype=np.int32)
-        if self.data.shape != (self.height, self.width):
-            raise ValueError(f"gray data shape {self.data.shape} does not match "
-                             f"{self.height}x{self.width}")
-
-    def __eq__(self, other):
-        return (isinstance(other, ImageGray)
-                and self.width == other.width and self.height == other.height
-                and np.array_equal(self.data, other.data))
+class ImageRGB(_Image):
+    dtype, channels = np.uint8, (3,)
 
 
-def _check_dims(width, height):
-    if width < 1 or height < 1:
-        raise ValueError(f"image dimensions must be >= 1, got {width}x{height}")
+class ImageCbCr(_Image):
+    dtype, channels = np.uint8, (2,)    # (Cb, Cr)
+
+
+class ImageGray(_Image):
+    dtype, channels = np.int32, ()
 
 
 def load_pnm(raw: bytes) -> ImageRGB:

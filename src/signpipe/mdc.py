@@ -32,10 +32,10 @@ class ClassCenterFile:
     names: list = None
 
     def __post_init__(self):
+        if self.num_classes < 2:
+            raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
         if self.dims < 1:
             raise ValueError("dims must be >= 1")
-        if self.num_classes < 2:
-            raise ValueError("num_classes must be >= 2")
         if not 1 <= self.resolution_bits <= 32:
             raise ValueError("resolution_bits must be in [1, 32]")
         n = self.dims * self.num_classes
@@ -53,7 +53,8 @@ class ClassCenterFile:
 
     @classmethod
     def from_centers(cls, centers, resolution_bits=8, names=None):
-        dims = len(centers[0])
+        # an empty list fails the class-count check
+        dims = len(centers[0]) if centers else 0
         cells = [int(v) for center in centers for v in center]
         return cls(dims, len(centers), resolution_bits, cells, names)
 
@@ -77,22 +78,14 @@ def program_center(file: ClassCenterFile, addr, value):
     return file
 
 
-def manhattan_distance(x, u):
-    if len(x) != len(u):
-        raise ValueError(f"length mismatch: {len(x)} vs {len(u)}")
-    return sum(abs(a - b) for a, b in zip(x, u))
-
-
 def classify(file: ClassCenterFile, x):
-    """Index of the nearest center; ties break to the smallest class index."""
+    """Index of the center nearest to x in Manhattan distance; ties break
+    to the smallest class index. The scalar reference for any D."""
     if len(x) != file.dims:
         raise ValueError(f"feature vector length {len(x)} != dims {file.dims}")
-    best, best_d = 0, None
-    for j in range(file.num_classes):
-        d = manhattan_distance(x, file.center(j))
-        if best_d is None or d < best_d:
-            best, best_d = j, d
-    return best
+    dists = [sum(abs(a - b) for a, b in zip(x, center))
+             for center in file.centers()]
+    return dists.index(min(dists))
 
 
 def _nearest_center_table(file: ClassCenterFile):
@@ -219,8 +212,10 @@ def simulate_pipeline(model: PipelineModel, file: ClassCenterFile, schedule):
 
 def estimate_frame_rate(frequency_hz, width, height):
     """Frames per second at one pixel per cycle, ignoring blanking."""
-    if frequency_hz <= 0 or width <= 0 or height <= 0:
-        raise ValueError("frequency and dimensions must be positive")
+    if not (math.isfinite(frequency_hz) and frequency_hz > 0):
+        raise ValueError(f"frequency must be finite and > 0, got {frequency_hz}")
+    if width <= 0 or height <= 0:
+        raise ValueError("dimensions must be positive")
     return frequency_hz / (width * height)
 
 
@@ -228,10 +223,19 @@ def estimate_frame_rate(frequency_hz, width, height):
 
 def centers_to_json(file: ClassCenterFile) -> str:
     names = file.names or [f"class{j}" for j in range(file.num_classes)]
+    return format_centers(names, file.centers(), file.resolution_bits)
+
+
+def format_centers(names, centers, resolution_bits) -> str:
+    """The center-file JSON of named centers, in class order.
+
+    Any class count is written; `centers_from_json` reads back only
+    files with 2 or more classes.
+    """
     doc = {
-        "resolution_bits": file.resolution_bits,
-        "classes": [{"name": names[j], "center": file.center(j)}
-                    for j in range(file.num_classes)],
+        "resolution_bits": resolution_bits,
+        "classes": [{"name": name, "center": list(center)}
+                    for name, center in zip(names, centers)],
     }
     return json.dumps(doc, indent=2) + "\n"
 

@@ -3,8 +3,6 @@
 Each is built on a different algorithm from the code it checks, so that
 agreement is verification rather than shared code agreeing with itself:
 
-- `naive_classify`: a full-scan argmin per feature vector, against the
-  vectorized lookup table of `mdc.classify_image`;
 - `flood_fill_label`: a per-pixel stack-based flood fill, against the
   run-based labeler of `ccl.label_components`;
 - `stream_gaussian3x3` and `stream_median3x3`: the hardware-faithful
@@ -12,6 +10,12 @@ agreement is verification rather than shared code agreeing with itself:
   `filters.stream_window`, against the whole-array numpy filters;
 - `loop_converge`: mean shift one seed at a time, each step scanning every
   sample, against the trainer's batched steps over distinct chroma values.
+
+The classifier's references live in `mdc`: the scalar `classify`, one
+argmin per feature vector for any D, and `simulate_pipeline`, the cycle
+model's per-dimension accumulate and pairwise `<=` tree. Each checks the
+65,536-entry lookup table of `classify_image`, and the two check each
+other for any D.
 """
 
 import numpy as np
@@ -19,16 +23,6 @@ import numpy as np
 from .ccl import ComponentFeatures
 from .filters import GAUSSIAN_DIVISOR, GAUSSIAN_KERNEL, stream_window
 from .image import ImageCbCr, ImageGray
-
-
-def naive_classify(centers, x):
-    """Full-scan argmin of Manhattan distance; ties to the smallest index."""
-    best, best_d = 0, None
-    for j, u in enumerate(centers):
-        d = sum(abs(a - b) for a, b in zip(x, u))
-        if best_d is None or d < best_d:
-            best, best_d = j, d
-    return best
 
 
 def flood_fill_label(seg: ImageGray, skip=frozenset()):

@@ -7,6 +7,7 @@ carries the latency and frame-rate figures of the cycle model so a
 software run documents what the streaming design would deliver.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 from importlib import resources
 
@@ -18,7 +19,7 @@ from .detector import DetectionRule, annotate, detect
 from .filters import gaussian3x3, median3x3
 from .image import ImageCbCr, ImageGray, ImageRGB, rgb_to_cbcr
 from .mdc import (ClassCenterFile, PipelineModel, centers_from_json,
-                  classify_image, estimate_frame_rate)
+                  classify, classify_image, estimate_frame_rate)
 
 DEFAULT_CLOCK_MHZ = 170.0
 
@@ -41,6 +42,9 @@ class PipelineConfig:
     def __post_init__(self):
         if self.centers.dims != 2:
             raise ValueError("pipeline needs 2-dimensional (Cb, Cr) centers")
+        if not (math.isfinite(self.clock_mhz) and self.clock_mhz > 0):
+            raise ValueError(f"clock_mhz must be finite and > 0, "
+                             f"got {self.clock_mhz}")
         self.skip_classes = frozenset(self.skip_classes)
 
 
@@ -159,11 +163,9 @@ def verify_frame(config: PipelineConfig, rgb: ImageRGB):
         chroma = smoothed
 
     seg = classify_image(config.centers, chroma)
-    centers = config.centers.centers()
-    flat = chroma.data.reshape(-1, 2)
-    expected = np.fromiter(
-        (oracles.naive_classify(centers, tuple(int(v) for v in p)) for p in flat),
-        dtype=np.int32, count=len(flat)).reshape(seg.data.shape)
+    flat = chroma.data.reshape(-1, 2).tolist()
+    expected = np.fromiter((classify(config.centers, p) for p in flat),
+                           dtype=np.int32, count=len(flat)).reshape(seg.data.shape)
     results["classify"] = bool(np.array_equal(seg.data, expected))
 
     filtered = median3x3(seg)

@@ -34,12 +34,12 @@ sample order. The algorithm is deterministic for a fixed sample order
 and seed stride.
 """
 
-import json
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
+
+from .mdc import format_centers
 
 # elements of each (seeds x distinct values) buffer of a step: 2 MB of
 # float64, whatever the sample count
@@ -195,15 +195,9 @@ def centers_to_file(result: ClusterResult, names, resolution_bits=8) -> str:
     """Serialize trained modes as classifier center-file JSON.
 
     Class order follows the result's descending-support order (ties break
-    by ascending Cb, then Cr).
+    by ascending Cb, then Cr). A single mode is written too, but the
+    classifier needs 2 classes, so `mdc.centers_from_json` refuses it.
     """
     if len(names) != len(result.modes):
         raise ValueError(f"{len(names)} names for {len(result.modes)} modes")
-    if len(result.modes) < 2:
-        warnings.warn("fewer than 2 modes: the classifier will be degenerate")
-    doc = {
-        "resolution_bits": resolution_bits,
-        "classes": [{"name": name, "center": list(mode)}
-                    for name, mode in zip(names, result.modes)],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    return format_centers(names, result.modes, resolution_bits)

@@ -151,17 +151,24 @@ def test_missing_file_exits(tmp_path):
     ["detect", "{frame}", "--centers", "{no_name}"],
     ["detect", "{frame}", "--centers", "{tmp}/missing.json"],
     ["detect", "{frame}", "--clock-mhz", "0"],
+    ["detect", "{frame}", "--clock-mhz", "inf", "--out-report", "{tmp}/r.json"],
+    ["ablate", "{frame}", "--clock-mhz", "inf"],
     ["detect", "{frame}", "--out-report", "{tmp}/no/such/dir/r.json"],
     ["train", "{frame}", "--bandwidth", "0"],
     ["train", "{frame}", "--bandwidth", "nan"],
     ["train", "{frame}", "--bandwidth", "inf"],
+    ["train", "{frame}", "--bandwidth", "2"],
     ["latency", "--classes", "1"],
+    ["latency", "--clock-mhz", "nan"],
+    ["latency", "--clock-mhz", "inf"],
     ["synth", "{tmp}/s.ppm", "--width", "0"],
 ], ids=["ratio_not_a_number", "ratio_min_above_max", "skip_class_range",
         "target_class_range", "both_class_flags", "negative_target",
         "center_without_name", "missing_center_file", "zero_clock",
-        "unwritable_output", "zero_bandwidth", "nan_bandwidth",
-        "infinite_bandwidth", "one_class", "zero_width"])
+        "infinite_clock", "infinite_clock_ablate", "unwritable_output",
+        "zero_bandwidth", "nan_bandwidth", "infinite_bandwidth",
+        "single_mode", "one_class", "nan_latency_clock",
+        "infinite_latency_clock", "zero_width"])
 def test_bad_input_exits_with_one_line(argv, frame_path, tmp_path):
     no_name = tmp_path / "no_name.json"
     no_name.write_text('{"classes": [{"center": [127, 128]},'

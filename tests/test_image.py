@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from signpipe.image import (ImageRGB, PnmError, cbcr_to_rgb, load_pnm,
-                            rgb_to_cbcr, save_pnm)
+from signpipe.image import (ImageCbCr, ImageGray, ImageRGB, PnmError,
+                            cbcr_to_rgb, load_pnm, rgb_to_cbcr, save_pnm)
 
 
 def rgb_images(max_side=12):
@@ -143,3 +143,17 @@ def test_dimension_invariants():
         ImageRGB(0, 1, np.zeros((1, 0, 3), dtype=np.uint8))
     with pytest.raises(ValueError):
         ImageRGB(2, 2, np.zeros((2, 3, 3), dtype=np.uint8))
+
+
+@pytest.mark.parametrize("cls,dtype,channels", [
+    (ImageRGB, np.uint8, (3,)), (ImageCbCr, np.uint8, (2,)),
+    (ImageGray, np.int32, ())])
+def test_container_shape_dtype_and_equality(cls, dtype, channels):
+    data = np.arange(3 * 2 * int(np.prod(channels))).reshape((3, 2) + channels)
+    img = cls(2, 3, data[:, ::-1])    # a strided view of int64 values
+    assert img.data.dtype == dtype and img.data.flags.c_contiguous
+    assert img == cls(2, 3, data[:, ::-1].copy())
+    assert img != cls(2, 3, data)
+    assert img != data[:, ::-1]       # only an image equals an image
+    with pytest.raises(ValueError):
+        cls(3, 2, data)

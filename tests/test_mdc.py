@@ -6,9 +6,8 @@ from hypothesis import strategies as st
 from signpipe.image import ImageCbCr
 from signpipe.mdc import (ClassCenterFile, PipelineModel, centers_from_json,
                           centers_to_json, classify, classify_image,
-                          estimate_frame_rate, manhattan_distance,
-                          program_center, simulate_pipeline)
-from signpipe.oracles import naive_classify
+                          estimate_frame_rate, program_center,
+                          simulate_pipeline)
 
 DEFAULT_CENTERS = [(127, 128), (88, 151), (116, 157), (109, 180)]
 
@@ -51,20 +50,11 @@ class TestRegisterFile:
         with pytest.raises(ValueError):
             ClassCenterFile(2, 4, cells=[0] * 7)
 
-
-class TestManhattanDistance:
-    def test_two_term_sum(self):
-        assert manhattan_distance((100, 150), (88, 151)) == 13
-
-    def test_identity(self):
-        assert manhattan_distance((42, 17), (42, 17)) == 0
-
-    def test_maximum_fits_in_guard_bits(self):
-        assert manhattan_distance((0, 0), (255, 255)) == 510 < 2 ** 10
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            manhattan_distance((1, 2), (1, 2, 3))
+    @pytest.mark.parametrize("centers,count", [([], 0), ([(88, 151)], 1)])
+    def test_fewer_than_two_classes(self, centers, count):
+        with pytest.raises(ValueError, match=f"num_classes must be >= 2, "
+                                             f"got {count}"):
+            ClassCenterFile.from_centers(centers)
 
 
 class TestClassify:
@@ -79,12 +69,21 @@ class TestClassify:
         f = ClassCenterFile.from_centers([(10, 10), (12, 10)])
         assert classify(f, (11, 10)) == 0
 
+    def test_length_mismatch(self):
+        for x in [(1,), (1, 2, 3)]:
+            with pytest.raises(ValueError):
+                classify(default_file(), x)
+
     @given(center_files(), st.data())
     @settings(max_examples=200)
     def test_matches_exhaustive_oracle(self, f, data):
+        # the cycle model accumulates every class distance one dimension
+        # at a time and reduces them with a pairwise tree
         x = data.draw(st.lists(st.integers(0, 255), min_size=f.dims,
                                max_size=f.dims))
-        assert classify(f, x) == naive_classify(f.centers(), x)
+        model = PipelineModel(f.dims, f.num_classes)
+        [(_, label)] = simulate_pipeline(model, f, [x])
+        assert classify(f, x) == label
 
     @given(center_files(), st.data())
     @settings(max_examples=100)
@@ -109,8 +108,8 @@ class TestClassify:
         x = data.draw(st.lists(st.integers(0, 255), min_size=f.dims,
                                max_size=f.dims))
         label = classify(f, x)
-        dists = [manhattan_distance(x, f.center(j))
-                 for j in range(f.num_classes)]
+        dists = [sum(abs(a - b) for a, b in zip(x, center))
+                 for center in f.centers()]
         if dists.count(dists[label]) == 1:  # ties resolve by index, not class
             assert classify(permuted, x) == perm[label]
 
@@ -120,8 +119,11 @@ class TestClassify:
         x = data.draw(st.lists(st.integers(0, 255), min_size=f.dims,
                                max_size=f.dims))
         model = PipelineModel(f.dims, f.num_classes)
-        for j in range(f.num_classes):
-            assert manhattan_distance(x, f.center(j)) < 2 ** model.accumulator_bits
+        # the largest distance, 255 per dimension (510 < 2**10 at D=2)
+        assert 255 * f.dims < 2 ** model.accumulator_bits
+        for center in f.centers():
+            distance = sum(abs(a - b) for a, b in zip(x, center))
+            assert distance < 2 ** model.accumulator_bits
 
 
 class TestClassifyImage:
@@ -143,8 +145,7 @@ class TestClassifyImage:
         out = classify_image(f, ImageCbCr(16, 16, data))
         for y in range(16):
             for x in range(16):
-                expected = naive_classify(f.centers(),
-                                          tuple(int(v) for v in data[y, x]))
+                expected = classify(f, data[y, x].tolist())
                 assert out.data[y, x] == expected
 
     @pytest.mark.parametrize("f", [

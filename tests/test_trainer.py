@@ -195,11 +195,21 @@ class TestCentersToFile:
         assert f.centers() == [list(m) for m in modes]
         assert centers_from_json(centers_to_json(f)).cells == f.cells
 
-    def test_single_mode_warns(self):
-        result = ClusterResult([(88, 151)], [10])
-        with pytest.warns(UserWarning, match="degenerate"):
-            text = centers_to_file(result, ["only"])
+    def test_single_mode_raises(self):
+        # written, but the classifier needs 2 classes, so reading it back
+        # (as `detect` does) raises
+        text = centers_to_file(ClusterResult([(88, 151)], [10]), ["only"])
         assert json.loads(text)["classes"][0]["center"] == [88, 151]
+        with pytest.raises(ValueError, match="num_classes must be >= 2, got 1"):
+            centers_from_json(text)
+
+    def test_layout(self):
+        result = ClusterResult([(127, 128), (88, 151)], [5, 3])
+        doc = {"resolution_bits": 8,
+               "classes": [{"name": "bg", "center": [127, 128]},
+                           {"name": "sign", "center": [88, 151]}]}
+        assert (centers_to_file(result, ["bg", "sign"])
+                == json.dumps(doc, indent=2) + "\n")
 
     def test_support_ties_order_by_cb(self):
         samples = [(10, 10)] * 8 + [(200, 200)] * 8
