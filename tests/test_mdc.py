@@ -57,6 +57,25 @@ class TestRegisterFile:
             ClassCenterFile.from_centers(centers)
 
 
+class TestManhattanDistance:
+    # the L1 distance lives inside classify; these read it back through
+    # the label, with the center it must win against listed first
+
+    def test_identity(self):
+        # distance 0 to itself beats a center at distance 1 despite the
+        # tie-break towards the lower index
+        f = ClassCenterFile.from_centers([(43, 17), (42, 17)])
+        assert classify(f, (42, 17)) == 1
+
+    def test_maximum_fits_in_guard_bits(self):
+        # (0, 0) is 510 from (255, 255) and 509 from (255, 254)
+        f = ClassCenterFile.from_centers([(255, 255), (255, 254)])
+        model = PipelineModel(f.dims, f.num_classes)
+        assert 510 < 2 ** model.accumulator_bits == 2 ** 10
+        assert classify(f, (0, 0)) == 1
+        assert simulate_pipeline(model, f, [(0, 0)])[0][1] == 1
+
+
 class TestClassify:
     def test_exact_center_hit(self):
         assert classify(default_file(), (88, 151)) == 1
