@@ -1,6 +1,6 @@
 """Software model of a streaming road-sign detection pipeline."""
 
-from .ccl import ComponentFeatures, count_components, label_components
+from .ccl import ComponentFeatures, label_components
 from .detector import Detection, DetectionRule, annotate, detect
 from .filters import Window3x3, gaussian3x3, median3x3, stream_window
 from .image import (ImageCbCr, ImageGray, ImageRGB, PnmError, cbcr_to_rgb,

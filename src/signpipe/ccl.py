@@ -124,7 +124,3 @@ def label_components(seg: ImageGray, skip=frozenset()):
         run_y[firsts].tolist(), max_x.tolist(), max_y.tolist(),
         sum_x.tolist(), sum_y.tolist())]
     return labels, feats
-
-
-def count_components(seg: ImageGray, skip=frozenset()):
-    return len(label_components(seg, skip)[1])

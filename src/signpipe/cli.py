@@ -4,7 +4,7 @@ Subcommands:
   segment  classify a frame and write the label image
   detect   run the full chain and write detections + annotated frame
   train    mean-shift a frame's chroma samples into a center file
-  ablate   component counts with and without the smoothing filters
+  ablate   component counts with no filters against the configured ones
   latency  print the classifier latency formula and estimated FPS
   verify   cross-check each stage of a frame against its reference
 """
@@ -12,6 +12,7 @@ Subcommands:
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from .detector import DetectionRule
 from .image import load_pnm, rgb_to_cbcr, save_pnm
@@ -24,7 +25,12 @@ from .synthetic import disc_frame
 from .trainer import MeanShiftConfig, centers_to_file, mean_shift
 
 
-def _add_pipeline_args(p):
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise SystemExit(f"signpipe: {message}")
+
+
+def _add_config_args(p):
     p.add_argument("image", help="input PPM (P3/P6) frame")
     p.add_argument("--centers", help="class-center JSON file (default: shipped "
                    "background/yellow/red centers)")
@@ -40,6 +46,9 @@ def _add_pipeline_args(p):
     p.add_argument("--ratio-max", default="3")
     p.add_argument("--target-class", type=int, default=1)
     p.add_argument("--clock-mhz", type=float, default=DEFAULT_CLOCK_MHZ)
+
+
+def _add_output_args(p):
     p.add_argument("--out-seg", help="write the label image here (PPM)")
     p.add_argument("--out-annotated", help="write the annotated frame here (PPM)")
     p.add_argument("--out-report", help="write the JSON report here")
@@ -63,34 +72,28 @@ def _config_from(args):
 
 def _load_frame(path):
     try:
-        with open(path, "rb") as fh:
-            return load_pnm(fh.read())
-    except (OSError, ValueError) as exc:
-        raise SystemExit(f"{path}: {exc}")
+        return load_pnm(Path(path).read_bytes())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
-def _write(path, data):
-    mode = "wb" if isinstance(data, bytes) else "w"
-    with open(path, mode) as fh:
-        fh.write(data)
-
-
-def _emit_outputs(args, config, report, artifacts):
+def _run_frame(args):
+    """Run the chain on `args.image`; write the outputs asked for."""
+    config = _config_from(args)
+    report, artifacts = run_pipeline(config, _load_frame(args.image), args.image)
     if args.out_seg:
-        levels = config.centers.num_classes
-        _write(args.out_seg, save_pnm(render_labels(
-            artifacts.seg, levels, color=args.color_labels)))
+        Path(args.out_seg).write_bytes(save_pnm(render_labels(
+            artifacts.seg, config.centers.num_classes, color=args.color_labels)))
     if args.out_annotated:
-        _write(args.out_annotated, save_pnm(artifacts.annotated))
+        Path(args.out_annotated).write_bytes(save_pnm(artifacts.annotated))
     if args.out_report:
-        _write(args.out_report,
-               json.dumps(report.to_dict(), indent=2, sort_keys=False) + "\n")
+        Path(args.out_report).write_text(
+            json.dumps(report.to_dict(), indent=2) + "\n")
+    return report
 
 
 def cmd_segment(args):
-    config = _config_from(args)
-    report, artifacts = run_pipeline(config, _load_frame(args.image), args.image)
-    _emit_outputs(args, config, report, artifacts)
+    report = _run_frame(args)
     for i, n in enumerate(report.class_pixels):
         print(f"class {i}: {n} pixels")
     print(f"components: {len(report.components)}")
@@ -98,9 +101,7 @@ def cmd_segment(args):
 
 
 def cmd_detect(args):
-    config = _config_from(args)
-    report, artifacts = run_pipeline(config, _load_frame(args.image), args.image)
-    _emit_outputs(args, config, report, artifacts)
+    report = _run_frame(args)
     print(f"components: {len(report.components)}")
     print(f"detections: {len(report.detections)}")
     for d in report.detections:
@@ -121,7 +122,7 @@ def cmd_train(args):
     text = centers_to_file(result, names)
     centers_from_json(text)  # refuse a file `detect` would refuse
     if args.out_centers:
-        _write(args.out_centers, text)
+        Path(args.out_centers).write_text(text)
     else:
         sys.stdout.write(text)
     for mode, sup in zip(result.modes, result.support):
@@ -139,8 +140,6 @@ def cmd_ablate(args):
 
 
 def cmd_latency(args):
-    if args.dims < 1 or args.classes < 2:
-        raise ValueError("need --dims >= 1 and --classes >= 2")
     model = PipelineModel(args.dims, args.classes)
     fps = estimate_frame_rate(args.clock_mhz * 1e6, args.width, args.height)
     print(f"latency: {model.latency} cycles "
@@ -152,8 +151,7 @@ def cmd_latency(args):
 
 
 def cmd_verify(args):
-    config = _config_from(args)
-    results = verify_frame(config, _load_frame(args.image))
+    results = verify_frame(_config_from(args), _load_frame(args.image))
     ok = True
     for stage, match in results.items():
         print(f"{stage}: {'ok' if match else 'MISMATCH'}")
@@ -164,14 +162,13 @@ def cmd_verify(args):
 def cmd_synth(args):
     frame = disc_frame(args.width, args.height, args.radius, args.ring,
                        sigma=args.sigma, seed=args.seed)
-    _write(args.out, save_pnm(frame))
+    Path(args.out).write_bytes(save_pnm(frame))
     return 0
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="signpipe",
-        description="Streaming road-sign detection pipeline model")
+    parser = _Parser(prog="signpipe", description="Streaming road-sign "
+                     "detection pipeline model")
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name, fn, doc in [("segment", cmd_segment, "classify a frame"),
@@ -179,7 +176,9 @@ def main(argv=None):
                           ("ablate", cmd_ablate, "filter ablation counts"),
                           ("verify", cmd_verify, "oracle cross-check")]:
         p = sub.add_parser(name, help=doc)
-        _add_pipeline_args(p)
+        _add_config_args(p)
+        if fn in (cmd_segment, cmd_detect):
+            _add_output_args(p)
         p.set_defaults(fn=fn)
 
     p = sub.add_parser("train", help="mean-shift class centers from a frame")
@@ -212,7 +211,7 @@ def main(argv=None):
     try:
         return args.fn(args)
     except (OSError, ValueError) as exc:
-        # bad flags, files or center JSON: one line and a nonzero exit
+        # bad flag values, files, frames or center JSON: one line, exit 1
         raise SystemExit(f"signpipe: {exc}")
 
 

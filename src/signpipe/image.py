@@ -55,6 +55,19 @@ class ImageGray(_Image):
     dtype, channels = np.int32, ()
 
 
+def _decimal(tok):
+    """The value of a token of ASCII decimal digits, else None.
+
+    Netpbm numbers are digits only; `int` alone also takes a sign and
+    underscores, and raises ValueError past 4300 digits."""
+    if tok.isdigit():  # bytes.isdigit is ASCII-only
+        try:
+            return int(tok)
+        except ValueError:
+            pass
+    return None
+
+
 def load_pnm(raw: bytes) -> ImageRGB:
     """Decode a PPM image (binary P6 or plain P3, maxval 255)."""
     pos = 0
@@ -89,12 +102,12 @@ def load_pnm(raw: bytes) -> ImageRGB:
 
     def read_int(what):
         tok, off = read_token()
-        try:
-            return int(tok), off
-        except ValueError:
+        value = _decimal(tok)
+        if value is None:
             if not tok:
-                raise PnmError("unexpected end of header", off) from None
-            raise PnmError(f"invalid {what} {tok!r}", off) from None
+                raise PnmError("unexpected end of header", off)
+            raise PnmError(f"invalid {what} {tok!r}", off)
+        return value, off
 
     width, woff = read_int("width")
     height, hoff = read_int("height")
@@ -127,14 +140,13 @@ def load_pnm(raw: bytes) -> ImageRGB:
         values = np.empty(n, dtype=np.uint8)
         for i in range(n):
             tok, off = read_token()
-            try:
-                v = int(tok)
-            except ValueError:
+            v = _decimal(tok)
+            if v is None:
                 if not tok:
                     raise PnmError(f"truncated payload, sample {i} of {n} "
-                                   "is missing", off) from None
-                raise PnmError(f"invalid sample {tok!r}", off) from None
-            if not 0 <= v <= 255:
+                                   "is missing", off)
+                raise PnmError(f"invalid sample {tok!r}", off)
+            if v > 255:
                 raise PnmError(f"sample {v} out of range [0, 255]", off)
             values[i] = v
         data = values

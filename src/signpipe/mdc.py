@@ -128,6 +128,12 @@ class PipelineModel:
     num_classes: int
     resolution_bits: int = 8
 
+    def __post_init__(self):
+        if self.num_classes < 2:
+            raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
+        if self.dims < 1:
+            raise ValueError(f"dims must be >= 1, got {self.dims}")
+
     @property
     def selection_levels(self):
         return math.ceil(math.log2(self.num_classes))
@@ -242,13 +248,18 @@ def format_centers(names, centers, resolution_bits) -> str:
 
 def centers_from_json(text: str) -> ClassCenterFile:
     """Parse a center file; a malformed document raises ValueError."""
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError("center file is nested too deeply") from None
     classes = doc.get("classes") if isinstance(doc, dict) else None
     if not isinstance(classes, list) or not classes:
         raise ValueError('center file needs a non-empty "classes" list')
     for j, c in enumerate(classes):
         if not isinstance(c, dict) or "name" not in c or "center" not in c:
             raise ValueError(f'class {j} needs a "name" and a "center"')
+        if not isinstance(c["name"], str):
+            raise ValueError(f"class {j} name must be a string")
         center = c["center"]
         if (not isinstance(center, list)
                 or not all(type(v) is int for v in center)):

@@ -14,10 +14,10 @@ from importlib import resources
 import numpy as np
 
 from . import oracles
-from .ccl import count_components, label_components
+from .ccl import label_components
 from .detector import DetectionRule, annotate, detect
 from .filters import gaussian3x3, median3x3
-from .image import ImageCbCr, ImageGray, ImageRGB, rgb_to_cbcr
+from .image import ImageGray, ImageRGB, rgb_to_cbcr
 from .mdc import (ClassCenterFile, PipelineModel, centers_from_json,
                   classify, classify_image, estimate_frame_rate)
 
@@ -82,26 +82,23 @@ class FrameReport:
 
 @dataclass
 class FrameArtifacts:
-    chroma: ImageCbCr
     seg: ImageGray          # class indices after the optional median filter
     components_img: ImageGray
     annotated: ImageRGB
 
 
-def segment_frame(config: PipelineConfig, rgb: ImageRGB) -> tuple:
-    """Run the front half of the chain; returns (chroma, class image)."""
+def segment_frame(config: PipelineConfig, rgb: ImageRGB) -> ImageGray:
+    """Run the front half of the chain; returns the class image."""
     chroma = rgb_to_cbcr(rgb)
     if config.gaussian:
         chroma = gaussian3x3(chroma)
     seg = classify_image(config.centers, chroma)
-    if config.median:
-        seg = median3x3(seg)
-    return chroma, seg
+    return median3x3(seg) if config.median else seg
 
 
 def run_pipeline(config: PipelineConfig, rgb: ImageRGB, image_name=""):
     """Full chain on one frame; returns (FrameReport, FrameArtifacts)."""
-    chroma, seg = segment_frame(config, rgb)
+    seg = segment_frame(config, rgb)
     components_img, components = label_components(seg, config.skip_classes)
     detections = detect(components, config.rule)
     annotated = annotate(rgb, detections)
@@ -114,18 +111,19 @@ def run_pipeline(config: PipelineConfig, rgb: ImageRGB, image_name=""):
     report = FrameReport(image_name, rgb.width, rgb.height,
                          [int(n) for n in counts], components, detections,
                          model.latency, fps)
-    return report, FrameArtifacts(chroma, seg, components_img, annotated)
+    return report, FrameArtifacts(seg, components_img, annotated)
 
 
 def ablation_stats(config: PipelineConfig, rgb: ImageRGB):
-    """Component counts with both filters off versus both on.
+    """Component counts with both filters off versus `config`'s filters.
 
     Returns (count_without, count_with, reduction_percent).
     """
     base = replace(config, gaussian=False, median=False)
-    filt = replace(config, gaussian=True, median=True)
-    without = count_components(segment_frame(base, rgb)[1], config.skip_classes)
-    with_ = count_components(segment_frame(filt, rgb)[1], config.skip_classes)
+    without = len(label_components(segment_frame(base, rgb),
+                                   config.skip_classes)[1])
+    with_ = len(label_components(segment_frame(config, rgb),
+                                 config.skip_classes)[1])
     reduction = 100.0 * (without - with_) / without if without else 0.0
     return without, with_, reduction
 

@@ -5,6 +5,8 @@ colors, then converted to RGB at a fixed luma so they can feed the full
 file-based pipeline. Chroma noise models camera sensor noise.
 """
 
+import math
+
 import numpy as np
 
 from .image import ImageCbCr, ImageRGB, cbcr_to_rgb
@@ -43,6 +45,11 @@ def disc_frame(width=200, height=200, radius=30, ring=10,
     The disc geometry gives area ~ pi * radius^2 and a near-square
     bounding box, so the default detection rule accepts exactly the disc.
     """
+    if radius < 0 or ring < 0:
+        raise ValueError(f"radius and ring must be >= 0, got {radius} "
+                         f"and {ring}")
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     frame = chroma_constant(width, height, BACKGROUND_CHROMA)
     cx, cy = width // 2, height // 2
     paint_disc(frame, cx, cy, radius + ring, RED_CHROMA)

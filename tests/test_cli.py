@@ -100,6 +100,19 @@ def test_ablate_background_is_zero(tmp_path, capsys):
     assert "reduction: 0.0%" in capsys.readouterr().out
 
 
+def test_ablate_uses_filter_toggles(tmp_path, capsys):
+    path = tmp_path / "noisy.ppm"
+    path.write_bytes(save_pnm(disc_frame(sigma=6.0, seed=42)))
+
+    def ablate(*flags):
+        assert main(["ablate", str(path), *flags]) == 0
+        return capsys.readouterr().out
+
+    assert "components with filters:    2\n" in ablate()
+    assert "components with filters:    5\n" in ablate("--no-gaussian")
+    assert "reduction: 0.0%" in ablate("--no-gaussian", "--no-median")
+
+
 def test_latency_subcommand(capsys):
     assert main(["latency", "--dims", "2", "--classes", "4"]) == 0
     out = capsys.readouterr().out
@@ -162,17 +175,32 @@ def test_missing_file_exits(tmp_path):
     ["latency", "--clock-mhz", "nan"],
     ["latency", "--clock-mhz", "inf"],
     ["synth", "{tmp}/s.ppm", "--width", "0"],
+    ["verify", "{frame}", "--out-report", "{tmp}/r.json"],
+    ["ablate", "{frame}", "--out-seg", "{tmp}/s.ppm"],
+    ["detect", "{frame}", "--area-min", "abc"],
+    ["detect", "{frame}", "--no-such-flag"],
+    ["detect", "{tmp}/truncated.ppm"],
+    ["detect", "{frame}", "--centers", "{tmp}/deep.json"],
+    ["synth", "{tmp}/s.ppm", "--radius", "-5"],
+    ["synth", "{tmp}/s.ppm", "--ring", "-100"],
+    ["synth", "{tmp}/s.ppm", "--sigma", "nan"],
+    ["synth", "{tmp}/s.ppm", "--sigma", "-3"],
 ], ids=["ratio_not_a_number", "ratio_min_above_max", "skip_class_range",
         "target_class_range", "both_class_flags", "negative_target",
         "center_without_name", "missing_center_file", "zero_clock",
         "infinite_clock", "infinite_clock_ablate", "unwritable_output",
         "zero_bandwidth", "nan_bandwidth", "infinite_bandwidth",
         "single_mode", "one_class", "nan_latency_clock",
-        "infinite_latency_clock", "zero_width"])
+        "infinite_latency_clock", "zero_width", "verify_output_flag",
+        "ablate_output_flag", "area_not_an_integer", "unknown_flag",
+        "truncated_frame", "deeply_nested_centers", "negative_radius",
+        "negative_ring", "nan_sigma", "negative_sigma"])
 def test_bad_input_exits_with_one_line(argv, frame_path, tmp_path):
     no_name = tmp_path / "no_name.json"
     no_name.write_text('{"classes": [{"center": [127, 128]},'
                        ' {"name": "yellow", "center": [88, 151]}]}')
+    (tmp_path / "truncated.ppm").write_bytes(b"P3 2 1 255\n1 2 3 4 5")
+    (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
     argv = [a.format(frame=frame_path, no_name=no_name, tmp=tmp_path)
             for a in argv]
     with pytest.raises(SystemExit) as exc:
@@ -183,15 +211,27 @@ def test_bad_input_exits_with_one_line(argv, frame_path, tmp_path):
     assert "\n" not in message
 
 
-def test_bad_flag_in_subprocess(frame_path):
+def _run_cli(*argv):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(__file__).resolve().parents[1] / "src"),
          os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "signpipe.cli", "detect", str(frame_path),
-         "--skip-class", "9", "--target-class", "9"],
-        capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, "-m", "signpipe.cli", *argv],
+                          capture_output=True, text=True, env=env)
+
+
+def test_bad_flag_in_subprocess(frame_path):
+    proc = _run_cli("detect", str(frame_path),
+                    "--skip-class", "9", "--target-class", "9")
     assert proc.returncode != 0
     assert proc.stdout == ""
     assert proc.stderr.splitlines() == [
         "signpipe: --skip-class 9 is not a class index in [0, 4)"]
+
+
+def test_usage_error_in_subprocess(frame_path):
+    # argparse errors leave through the same one-line path, exit status 1
+    proc = _run_cli("detect", str(frame_path), "--area-min", "abc")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "signpipe: argument --area-min: invalid int value: 'abc'"]

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from signpipe.image import (ImageCbCr, ImageGray, ImageRGB, PnmError,
@@ -14,6 +14,13 @@ def rgb_images(max_side=12):
                                min_size=w * h * 3, max_size=w * h * 3).map(
                 lambda vals: ImageRGB(
                     w, h, np.array(vals, dtype=np.uint8).reshape(h, w, 3)))))
+
+
+def pnm_like():
+    """Byte strings built from header and sample fragments, valid or not."""
+    parts = st.sampled_from([b"P3", b"P6", b"1", b"2", b"255", b"0_3", b"+1",
+                             b"-1", b"#", b" ", b"\n", b"\t"])
+    return st.lists(parts | st.binary(max_size=4), max_size=24).map(b"".join)
 
 
 class TestLoadPnm:
@@ -67,6 +74,29 @@ class TestLoadPnm:
     def test_p3_shortest_payload_accepted(self):
         img = load_pnm(b"P3 2 1 255 1 2 3 4 5 6")
         assert img.data.reshape(-1).tolist() == [1, 2, 3, 4, 5, 6]
+
+    @pytest.mark.parametrize("raw,offset", [
+        (b"P6 1_0 1 255\n" + bytes(30), 3),
+        (b"P3 +1 1 255 1 2 3", 3),
+        (b"P3 1 1 255 0_3 1 2", 11),
+        (b"P3 1 1 255 1 -2 3", 13),
+        (b"P6 " + b"1" * 5000 + b" 1 255\n", 3),
+        (b"P3 1 1 255 1 2 " + b"0" * 5000, 15),
+    ], ids=["underscore_width", "signed_width", "underscore_sample",
+            "negative_sample", "5000_digit_width", "5000_digit_sample"])
+    def test_numbers_are_ascii_digits_only(self, raw, offset):
+        with pytest.raises(PnmError, match="invalid") as exc:
+            load_pnm(raw)
+        assert exc.value.offset == offset
+
+    @given(st.binary(max_size=64) | pnm_like())
+    @example(b"P6 " + b"1" * 5000 + b" 1 255\n")
+    @settings(max_examples=300)
+    def test_arbitrary_bytes_raise_only_pnm_error(self, raw):
+        try:
+            load_pnm(raw)
+        except PnmError:
+            pass
 
 
 class TestSavePnm:

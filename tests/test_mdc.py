@@ -1,6 +1,8 @@
+import json
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from signpipe.image import ImageCbCr
@@ -23,6 +25,21 @@ def center_files():
             lambda c: st.lists(st.integers(0, 255), min_size=d * c,
                                max_size=d * c).map(
                 lambda cells: ClassCenterFile(d, c, 8, cells))))
+
+
+def json_text():
+    """JSON documents, some shaped like a center file, and stray text."""
+    values = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+        lambda kids: st.lists(kids, max_size=4)
+        | st.dictionaries(st.text(max_size=4), kids, max_size=4),
+        max_leaves=12)
+    classes = st.lists(st.fixed_dictionaries(
+        {"name": values | st.text(), "center": st.lists(values | st.integers(
+            -2, 300), max_size=3)}), max_size=3)
+    files = st.fixed_dictionaries({"classes": classes | values},
+                                  optional={"resolution_bits": values})
+    return (values | files).map(json.dumps) | st.text()
 
 
 class TestRegisterFile:
@@ -207,6 +224,11 @@ class TestPipelineModel:
         assert PipelineModel(4, 2).accumulator_bits == 10
         assert PipelineModel(8, 2).accumulator_bits == 11
 
+    @pytest.mark.parametrize("dims,classes", [(2, 0), (2, 1), (0, 4), (-1, 4)])
+    def test_invalid_shape_rejected(self, dims, classes):
+        with pytest.raises(ValueError):
+            PipelineModel(dims, classes)
+
 
 class TestSimulatePipeline:
     @pytest.mark.parametrize("dims,classes", [(2, 4), (1, 2), (3, 5)])
@@ -279,10 +301,23 @@ class TestCenterFileFormat:
         '{"resolution_bits": "8", "classes": [{"name": "a",'
         ' "center": [1, 2]}, {"name": "b", "center": [3, 4]}]}',
         'not json',
+        '{"classes": [{"name": null, "center": [1, 2]},'
+        ' {"name": "b", "center": [3, 4]}]}',
+        '{"classes": [{"name": "a", "center": [1, 2]},'
+        ' {"name": [1], "center": [3, 4]}]}',
     ], ids=["no_classes", "not_an_object", "empty_classes", "no_name",
             "no_center", "class_not_object", "non_integer_cell",
             "ragged_dims", "huge_resolution", "string_resolution",
-            "not_json"])
+            "not_json", "null_name", "list_name"])
     def test_malformed_raises_value_error(self, text):
         with pytest.raises(ValueError):
             centers_from_json(text)
+
+    @given(json_text())
+    @example("[" * 100_000 + "]" * 100_000)
+    @settings(max_examples=300)
+    def test_arbitrary_json_raises_only_value_error(self, text):
+        try:
+            centers_from_json(text)
+        except ValueError:
+            pass
