@@ -1,11 +1,14 @@
 """Image containers, PPM (P3/P6) file I/O, and RGB to CbCr conversion.
 
-All pixel data lives in numpy arrays. RGB images are (height, width, 3)
+PPM has one grammar, the pattern `_TOKEN`: a token is a run of
+non-whitespace bytes after any whitespace and `#` line comments. All
+pixel data lives in numpy arrays. RGB images are (height, width, 3)
 uint8, chroma images are (height, width, 2) uint8 holding (Cb, Cr), and
 gray images are (height, width) int32 so they can hold class indices or
 component ids beyond 255.
 """
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,67 +71,59 @@ def _decimal(tok):
     return None
 
 
+def _quote(tok, show=repr):
+    """`tok` for an error message: at most 20 bytes, then its length."""
+    cut = f"{show(tok[:20])}... ({len(tok)} long)"
+    return show(tok) if len(tok) <= 20 else cut
+
+
+# the grammar: one token and the whitespace and comments before it; the
+# empty token means end of data, and a '#' inside a token belongs to it
+_TOKEN = re.compile(rb"(?:\s|#[^\n]*)*(\S*)")
+
+
 def load_pnm(raw: bytes) -> ImageRGB:
     """Decode a PPM image (binary P6 or plain P3, maxval 255)."""
-    pos = 0
-
-    def skip_ws():
-        # whitespace and '#' comments are interchangeable between tokens
-        nonlocal pos
-        while pos < len(raw):
-            c = raw[pos:pos + 1]
-            if c.isspace():
-                pos += 1
-            elif c == b"#":
-                while pos < len(raw) and raw[pos:pos + 1] != b"\n":
-                    pos += 1
-            else:
-                return
-
-    def read_token():
-        """The next token and its offset; an empty token at end of data."""
-        nonlocal pos
-        skip_ws()
-        start = pos
-        while pos < len(raw) and not raw[pos:pos + 1].isspace():
-            pos += 1
-        return raw[start:pos], start
-
-    magic, off = read_token()
-    if not magic:
-        raise PnmError("unexpected end of header", off)
-    if magic not in (b"P3", b"P6"):
-        raise PnmError(f"unsupported magic {magic!r}, expected P3 or P6", off)
+    tokens = _TOKEN.finditer(raw)
 
     def read_int(what):
-        tok, off = read_token()
+        m = next(tokens)
+        tok, off = m[1], m.start(1)
         value = _decimal(tok)
         if value is None:
             if not tok:
                 raise PnmError("unexpected end of header", off)
-            raise PnmError(f"invalid {what} {tok!r}", off)
-        return value, off
+            raise PnmError(f"invalid {what} {_quote(tok)}", off)
+        return value, m
 
-    width, woff = read_int("width")
-    height, hoff = read_int("height")
-    maxval, moff = read_int("maxval")
+    m = next(tokens)
+    magic, off = m[1], m.start(1)
+    if not magic:
+        raise PnmError("unexpected end of header", off)
+    if magic not in (b"P3", b"P6"):
+        raise PnmError(f"unsupported magic {_quote(magic)}, expected P3 or P6",
+                       off)
+    width, wm = read_int("width")
+    height, hm = read_int("height")
+    maxval, mm = read_int("maxval")
     if width < 1:
-        raise PnmError(f"width must be >= 1, got {width}", woff)
+        raise PnmError(f"width must be >= 1, got {width}", wm.start(1))
     if height < 1:
-        raise PnmError(f"height must be >= 1, got {height}", hoff)
+        raise PnmError(f"height must be >= 1, got {height}", hm.start(1))
     if maxval != 255:
-        raise PnmError(f"only maxval 255 is supported, got {maxval}", moff)
+        raise PnmError(f"only maxval 255 is supported, got "
+                       f"{_quote(str(maxval), str)}", mm.start(1))
 
     n = width * height * 3
+    pos = mm.end()
     if magic == b"P6":
         # exactly one whitespace byte separates the header from the payload
-        if pos >= len(raw) or not raw[pos:pos + 1].isspace():
+        if not raw[pos:pos + 1].isspace():
             raise PnmError("missing whitespace after maxval", pos)
-        pos += 1
-        payload = raw[pos:pos + n]
+        payload = raw[pos + 1:pos + 1 + n]
         if len(payload) < n:
             raise PnmError(f"truncated payload, expected {n} bytes, "
-                           f"got {len(payload)}", pos + len(payload))
+                           f"got {len(payload)}", pos + 1 + len(payload))
         data = np.frombuffer(payload, dtype=np.uint8)
     else:
         # every sample but the last needs a digit and a separator, so a
@@ -137,19 +132,18 @@ def load_pnm(raw: bytes) -> ImageRGB:
         if len(raw) - pos < 2 * n - 1:
             raise PnmError(f"truncated payload, {len(raw) - pos} bytes cannot "
                            f"hold {n} samples", pos)
-        values = np.empty(n, dtype=np.uint8)
-        for i in range(n):
-            tok, off = read_token()
-            v = _decimal(tok)
+        data = np.empty(n, dtype=np.uint8)
+        for i, m in zip(range(n), tokens):
+            v = _decimal(m[1])
             if v is None:
-                if not tok:
+                if not m[1]:
                     raise PnmError(f"truncated payload, sample {i} of {n} "
-                                   "is missing", off)
-                raise PnmError(f"invalid sample {tok!r}", off)
+                                   "is missing", m.start(1))
+                raise PnmError(f"invalid sample {_quote(m[1])}", m.start(1))
             if v > 255:
-                raise PnmError(f"sample {v} out of range [0, 255]", off)
-            values[i] = v
-        data = values
+                raise PnmError(f"sample {_quote(str(v), str)} out of range "
+                               "[0, 255]", m.start(1))
+            data[i] = v
 
     return ImageRGB(width, height, data.reshape(height, width, 3))
 
@@ -187,8 +181,8 @@ def rgb_to_cbcr(img: ImageRGB) -> ImageCbCr:
     return ImageCbCr(img.width, img.height, out)
 
 
-def cbcr_to_rgb(img: ImageCbCr, luma: int = 128) -> ImageRGB:
-    """Inverse BT.601 at a fixed luma; used to synthesize RGB test frames.
+def cbcr_to_rgb(img: ImageCbCr) -> ImageRGB:
+    """Inverse BT.601 at luma 128; used to synthesize RGB test frames.
 
     Lossy for out-of-gamut chroma (channels clamp), but converting the
     result back with rgb_to_cbcr lands within 1 level of the original
@@ -196,9 +190,9 @@ def cbcr_to_rgb(img: ImageCbCr, luma: int = 128) -> ImageRGB:
     """
     cb = img.data[:, :, 0].astype(np.float64) - 128.0
     cr = img.data[:, :, 1].astype(np.float64) - 128.0
-    r = luma + 1.402 * cr
-    g = luma - 0.344136 * cb - 0.714136 * cr
-    b = luma + 1.772 * cb
+    r = 128 + 1.402 * cr
+    g = 128 - 0.344136 * cb - 0.714136 * cr
+    b = 128 + 1.772 * cb
     out = np.stack([r, g, b], axis=-1)
     out = np.clip(np.floor(out + 0.5), 0, 255).astype(np.uint8)
     return ImageRGB(img.width, img.height, out)

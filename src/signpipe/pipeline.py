@@ -103,14 +103,13 @@ def run_pipeline(config: PipelineConfig, rgb: ImageRGB, image_name=""):
     detections = detect(components, config.rule)
     annotated = annotate(rgb, detections)
 
-    counts = np.bincount(seg.data.reshape(-1),
-                         minlength=config.centers.num_classes)
+    counts = [int(np.count_nonzero(seg.data == c))
+              for c in range(config.centers.num_classes)]
     model = PipelineModel(config.centers.dims, config.centers.num_classes,
                           config.centers.resolution_bits)
     fps = estimate_frame_rate(config.clock_mhz * 1e6, rgb.width, rgb.height)
-    report = FrameReport(image_name, rgb.width, rgb.height,
-                         [int(n) for n in counts], components, detections,
-                         model.latency, fps)
+    report = FrameReport(image_name, rgb.width, rgb.height, counts,
+                         components, detections, model.latency, fps)
     return report, FrameArtifacts(seg, components_img, annotated)
 
 

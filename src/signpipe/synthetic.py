@@ -16,6 +16,8 @@ BACKGROUND_CHROMA = (127, 128)
 YELLOW_CHROMA = (88, 151)
 RED_CHROMA = (116, 157)
 
+MAX_SIDE = 4096  # largest frame side disc_frame paints
+
 
 def chroma_constant(width, height, chroma) -> ImageCbCr:
     data = np.empty((height, width, 2), dtype=np.uint8)
@@ -45,6 +47,8 @@ def disc_frame(width=200, height=200, radius=30, ring=10,
     The disc geometry gives area ~ pi * radius^2 and a near-square
     bounding box, so the default detection rule accepts exactly the disc.
     """
+    if max(width, height) > MAX_SIDE:
+        raise ValueError(f"sides must be <= {MAX_SIDE}, got {width}x{height}")
     if radius < 0 or ring < 0:
         raise ValueError(f"radius and ring must be >= 0, got {radius} "
                          f"and {ring}")

@@ -185,6 +185,8 @@ def test_missing_file_exits(tmp_path):
     ["synth", "{tmp}/s.ppm", "--ring", "-100"],
     ["synth", "{tmp}/s.ppm", "--sigma", "nan"],
     ["synth", "{tmp}/s.ppm", "--sigma", "-3"],
+    ["synth", "{tmp}/s.ppm", "--width", "4097"],
+    ["synth", "{tmp}/s.ppm", "--height", "4097"],
 ], ids=["ratio_not_a_number", "ratio_min_above_max", "skip_class_range",
         "target_class_range", "both_class_flags", "negative_target",
         "center_without_name", "missing_center_file", "zero_clock",
@@ -194,7 +196,8 @@ def test_missing_file_exits(tmp_path):
         "infinite_latency_clock", "zero_width", "verify_output_flag",
         "ablate_output_flag", "area_not_an_integer", "unknown_flag",
         "truncated_frame", "deeply_nested_centers", "negative_radius",
-        "negative_ring", "nan_sigma", "negative_sigma"])
+        "negative_ring", "nan_sigma", "negative_sigma", "width_above_bound",
+        "height_above_bound"])
 def test_bad_input_exits_with_one_line(argv, frame_path, tmp_path):
     no_name = tmp_path / "no_name.json"
     no_name.write_text('{"classes": [{"center": [127, 128]},'

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from signpipe.image import (ImageCbCr, ImageGray, ImageRGB, PnmError,
@@ -21,6 +21,38 @@ def pnm_like():
     parts = st.sampled_from([b"P3", b"P6", b"1", b"2", b"255", b"0_3", b"+1",
                              b"-1", b"#", b" ", b"\n", b"\t"])
     return st.lists(parts | st.binary(max_size=4), max_size=24).map(b"".join)
+
+
+def separator(first_space=True):
+    """Whitespace and '#' comments between two P3 tokens."""
+    space = st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"])
+    comment = st.binary(max_size=8).map(
+        lambda text: b"#" + text.replace(b"\n", b"") + b"\n")
+    rest = st.lists(space | comment, max_size=3).map(b"".join)
+    if not first_space:
+        return rest
+    return st.tuples(space, rest).map(b"".join)
+
+
+@st.composite
+def p3_with_separators(draw):
+    """An image and its P3 encoding with random separators between tokens.
+
+    A separator starts with whitespace, as a '#' right after a token
+    belongs to that token; the data may end in a comment without a
+    newline."""
+    img = draw(rgb_images(max_side=5))
+    tokens = [b"P3", b"%d" % img.width, b"%d" % img.height, b"255"]
+    tokens += [b"%d" % v for v in img.data.reshape(-1).tolist()]
+    seps = draw(st.lists(separator(), min_size=len(tokens),
+                         max_size=len(tokens)))
+    raw = draw(separator(first_space=False))
+    raw += b"".join(t + s for t, s in zip(tokens, seps))
+    return img, raw + draw(st.sampled_from([b"", b"#", b"# no newline"]))
+
+
+# 100,000 bytes without a whitespace byte: one token, the magic
+NO_WHITESPACE = bytes(b for b in range(256) if not bytes([b]).isspace()) * 400
 
 
 class TestLoadPnm:
@@ -82,12 +114,39 @@ class TestLoadPnm:
         (b"P3 1 1 255 1 -2 3", 13),
         (b"P6 " + b"1" * 5000 + b" 1 255\n", 3),
         (b"P3 1 1 255 1 2 " + b"0" * 5000, 15),
+        # a '#' inside a token belongs to the token
+        (b"P3 1 1 255 12#3 1 2", 11),
+        (b"P3 1#2 1 255 1 2 3", 3),
     ], ids=["underscore_width", "signed_width", "underscore_sample",
-            "negative_sample", "5000_digit_width", "5000_digit_sample"])
+            "negative_sample", "5000_digit_width", "5000_digit_sample",
+            "hash_in_sample", "hash_in_width"])
     def test_numbers_are_ascii_digits_only(self, raw, offset):
         with pytest.raises(PnmError, match="invalid") as exc:
             load_pnm(raw)
         assert exc.value.offset == offset
+
+    @pytest.mark.parametrize("raw,offset", [
+        (NO_WHITESPACE, 0),
+        (b"P6 1 1 " + b"9" * 4000, 7),
+    ], ids=["100000_byte_magic", "4000_digit_maxval"])
+    def test_long_token_is_echoed_short(self, raw, offset):
+        with pytest.raises(PnmError) as exc:
+            load_pnm(raw)
+        assert exc.value.offset == offset
+        assert len(str(exc.value).encode()) < 200
+
+    def test_comment_inside_p3_payload(self):
+        img = load_pnm(b"P3 1 1 255 1 # two 2 3\n2\t#\n3 # end")
+        assert img.data.reshape(-1).tolist() == [1, 2, 3]
+
+    # the explain phase traces every line of a failing example's replays,
+    # which takes minutes over a payload loop; shrinking alone is seconds
+    @given(p3_with_separators())
+    @settings(max_examples=100,
+              phases=[p for p in Phase if p is not Phase.explain])
+    def test_p3_with_any_separators(self, case):
+        img, raw = case
+        assert load_pnm(raw) == img
 
     @given(st.binary(max_size=64) | pnm_like())
     @example(b"P6 " + b"1" * 5000 + b" 1 255\n")

@@ -1,0 +1,106 @@
+"""Metamorphic end-to-end tests of the pipeline, and `verify_frame` as a
+differential test on random small frames.
+
+The 3x3 filters replicate edges and labeling is 4-connected, so both
+are symmetric under transposition; on a uniform background, moving a
+sign that stays clear of the border moves its features and nothing
+else. Component ids follow raster order, so features are compared as
+multisets.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from signpipe.image import ImageRGB, cbcr_to_rgb
+from signpipe.mdc import ClassCenterFile
+from signpipe.pipeline import PipelineConfig, run_pipeline, verify_frame
+from signpipe.synthetic import (BACKGROUND_CHROMA, RED_CHROMA, YELLOW_CHROMA,
+                                chroma_constant, disc_frame, paint_disc)
+
+
+def features(rgb, config=None):
+    report, _ = run_pipeline(config or PipelineConfig(), rgb)
+    return report.components
+
+
+def transposed(rgb):
+    return ImageRGB(rgb.height, rgb.width, rgb.data.transpose(1, 0, 2))
+
+
+@pytest.mark.parametrize("filters", [True, False], ids=["filters", "raw"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_transposing_the_frame_transposes_every_component(seed, filters):
+    # unfiltered and with no class skipped, the noise leaves many small
+    # components, background ones along the border too
+    config = PipelineConfig(gaussian=filters, median=filters,
+                            skip_classes={0} if filters else ())
+    rgb = disc_frame(120, 90, 20, 6, sigma=8, seed=seed)
+    expected = sorted((c.class_index, c.area, c.min_y, c.min_x, c.max_y,
+                       c.max_x, c.sum_y, c.sum_x)
+                      for c in features(rgb, config))
+    got = sorted((c.class_index, c.area, c.min_x, c.min_y, c.max_x,
+                  c.max_y, c.sum_x, c.sum_y)
+                 for c in features(transposed(rgb), config))
+    assert len(got) >= (2 if filters else 50) and got == expected
+
+
+def sign_frame(cx, cy, radius, ring, width=48, height=40):
+    chroma = chroma_constant(width, height, BACKGROUND_CHROMA)
+    paint_disc(chroma, cx, cy, radius + ring, RED_CHROMA)
+    paint_disc(chroma, cx, cy, radius, YELLOW_CHROMA)
+    return cbcr_to_rgb(chroma)
+
+
+@st.composite
+def two_placements(draw, width=48, height=40):
+    radius = draw(st.integers(2, 8))
+    ring = draw(st.integers(1, 4))
+    # the outer edge stays at least 3 px from every border
+    reach = radius + ring + 3
+    xs = st.integers(reach, width - 1 - reach)
+    ys = st.integers(reach, height - 1 - reach)
+    return radius, ring, (draw(xs), draw(ys)), (draw(xs), draw(ys))
+
+
+@given(two_placements())
+@settings(max_examples=25, deadline=None)
+def test_translating_a_sign_translates_its_bbox_and_centroid(placement):
+    radius, ring, (x0, y0), (x1, y1) = placement
+    dx, dy = x1 - x0, y1 - y0
+    before = features(sign_frame(x0, y0, radius, ring))
+    after = features(sign_frame(x1, y1, radius, ring))
+    assert len(before) >= 1
+
+    def moved(c, dx, dy):
+        return (c.class_index, c.area, c.min_x + dx, c.min_y + dy,
+                c.max_x + dx, c.max_y + dy,
+                Fraction(c.sum_x, c.area) + dx, Fraction(c.sum_y, c.area) + dy)
+
+    assert sorted(moved(c, dx, dy) for c in before) == \
+        sorted(moved(c, 0, 0) for c in after)
+
+
+@st.composite
+def verify_cases(draw):
+    w, h = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    pixels = draw(st.binary(min_size=w * h * 3, max_size=w * h * 3))
+    rgb = ImageRGB(w, h, np.frombuffer(pixels, dtype=np.uint8).reshape(h, w, 3))
+    classes = draw(st.integers(2, 8))
+    cells = draw(st.lists(st.integers(0, 255), min_size=2 * classes,
+                          max_size=2 * classes))
+    config = PipelineConfig(
+        centers=ClassCenterFile(2, classes, 8, cells),
+        gaussian=draw(st.booleans()), median=draw(st.booleans()),
+        skip_classes=draw(st.frozensets(st.integers(0, classes - 1))))
+    return config, rgb
+
+
+@given(verify_cases())
+@settings(max_examples=60, deadline=None)
+def test_verify_frame_agrees_on_random_small_frames(case):
+    config, rgb = case
+    assert all(verify_frame(config, rgb).values())
