@@ -16,11 +16,9 @@ from pathlib import Path
 
 from .detector import DetectionRule
 from .image import load_pnm, rgb_to_cbcr, save_pnm
-from .mdc import (PipelineModel, centers_from_json, estimate_frame_rate,
-                  load_centers)
+from .mdc import PipelineModel, centers_from_json, estimate_frame_rate
 from .pipeline import (DEFAULT_CLOCK_MHZ, PipelineConfig, ablation_stats,
-                       default_centers, render_labels, run_pipeline,
-                       verify_frame)
+                       render_labels, run_pipeline, verify_frame)
 from .synthetic import disc_frame
 from .trainer import MeanShiftConfig, centers_to_file, mean_shift
 
@@ -38,14 +36,14 @@ def _add_config_args(p):
                    help="skip the pre-classifier smoothing filter")
     p.add_argument("--no-median", action="store_true",
                    help="skip the post-classifier median filter")
-    p.add_argument("--skip-class", type=int, action="append", default=None,
-                   metavar="IDX", help="class index to exclude from labeling "
-                   "(repeatable; default: 0)")
-    p.add_argument("--area-min", type=int, default=200)
-    p.add_argument("--ratio-min", default="0.7")
-    p.add_argument("--ratio-max", default="3")
-    p.add_argument("--target-class", type=int, default=1)
-    p.add_argument("--clock-mhz", type=float, default=DEFAULT_CLOCK_MHZ)
+    p.add_argument("--skip-class", type=int, action="append",
+                   dest="skip_classes", metavar="IDX",
+                   help="class index to exclude from labeling (repeatable)")
+    p.add_argument("--area-min", type=int)
+    p.add_argument("--ratio-min")
+    p.add_argument("--ratio-max")
+    p.add_argument("--target-class", type=int)
+    p.add_argument("--clock-mhz", type=float)
 
 
 def _add_output_args(p):
@@ -56,18 +54,20 @@ def _add_output_args(p):
                    help="render labels with a color palette instead of grays")
 
 
+def _given(args, *names):
+    """The named flags that were given; the library defaults the rest."""
+    return {n: getattr(args, n) for n in names if getattr(args, n) is not None}
+
+
 def _config_from(args):
-    centers = load_centers(args.centers) if args.centers else default_centers()
-    skip = frozenset(args.skip_class if args.skip_class is not None else {0})
-    for flag, idx in ([("--skip-class", i) for i in sorted(skip)]
-                      + [("--target-class", args.target_class)]):
-        if not 0 <= idx < centers.num_classes:
-            raise ValueError(f"{flag} {idx} is not a class index in "
-                             f"[0, {centers.num_classes})")
-    rule = DetectionRule(args.target_class, args.ratio_min, args.ratio_max,
-                         args.area_min)
-    return PipelineConfig(centers, not args.no_gaussian, not args.no_median,
-                          skip, rule, args.clock_mhz)
+    given = _given(args, "skip_classes", "clock_mhz")
+    if args.centers:
+        given["centers"] = centers_from_json(
+            Path(args.centers).read_text(encoding="utf-8"))
+    rule = DetectionRule(**_given(args, "target_class", "ratio_min",
+                                  "ratio_max", "area_min"))
+    return PipelineConfig(gaussian=not args.no_gaussian,
+                          median=not args.no_median, rule=rule, **given)
 
 
 def _load_frame(path):
@@ -114,9 +114,8 @@ def cmd_train(args):
     rgb = _load_frame(args.image)
     chroma = rgb_to_cbcr(rgb)
     samples = chroma.data.reshape(-1, 2)
-    config = MeanShiftConfig(bandwidth=args.bandwidth,
-                             seed_stride=args.seed_stride)
-    result = mean_shift(samples, config)
+    result = mean_shift(samples, MeanShiftConfig(
+        **_given(args, "bandwidth", "seed_stride")))
     names = (args.names.split(",") if args.names
              else [f"class{i}" for i in range(len(result.modes))])
     text = centers_to_file(result, names)
@@ -160,8 +159,8 @@ def cmd_verify(args):
 
 
 def cmd_synth(args):
-    frame = disc_frame(args.width, args.height, args.radius, args.ring,
-                       sigma=args.sigma, seed=args.seed)
+    frame = disc_frame(**_given(args, "width", "height", "radius", "ring",
+                                "sigma", "seed"))
     Path(args.out).write_bytes(save_pnm(frame))
     return 0
 
@@ -183,8 +182,8 @@ def main(argv=None):
 
     p = sub.add_parser("train", help="mean-shift class centers from a frame")
     p.add_argument("image")
-    p.add_argument("--bandwidth", type=float, default=0.4)
-    p.add_argument("--seed-stride", type=int, default=4)
+    p.add_argument("--bandwidth", type=float)
+    p.add_argument("--seed-stride", type=int)
     p.add_argument("--names", help="comma-separated class names")
     p.add_argument("--out-centers", help="write the center JSON here")
     p.set_defaults(fn=cmd_train)
@@ -199,12 +198,9 @@ def main(argv=None):
 
     p = sub.add_parser("synth", help="write a synthetic disc test frame")
     p.add_argument("out")
-    p.add_argument("--width", type=int, default=200)
-    p.add_argument("--height", type=int, default=200)
-    p.add_argument("--radius", type=int, default=30)
-    p.add_argument("--ring", type=int, default=10)
-    p.add_argument("--sigma", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    for flag in ("--width", "--height", "--radius", "--ring", "--seed"):
+        p.add_argument(flag, type=int)
+    p.add_argument("--sigma", type=float)
     p.set_defaults(fn=cmd_synth)
 
     args = parser.parse_args(argv)

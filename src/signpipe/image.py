@@ -8,6 +8,7 @@ gray images are (height, width) int32 so they can hold class indices or
 component ids beyond 255.
 """
 
+import functools
 import re
 from dataclasses import dataclass
 
@@ -186,13 +187,22 @@ def cbcr_to_rgb(img: ImageCbCr) -> ImageRGB:
 
     Lossy for out-of-gamut chroma (channels clamp), but converting the
     result back with rgb_to_cbcr lands within 1 level of the original
-    for in-gamut pixels.
+    for in-gamut pixels. Each pixel is a lookup in `_rgb_of_chroma`.
     """
-    cb = img.data[:, :, 0].astype(np.float64) - 128.0
-    cr = img.data[:, :, 1].astype(np.float64) - 128.0
+    rgb = _rgb_of_chroma()[img.data[:, :, 0], img.data[:, :, 1]]
+    return ImageRGB(img.width, img.height, rgb)
+
+
+@functools.cache
+def _rgb_of_chroma():
+    """Read-only (256, 256, 3) uint8 table: the float64 inverse BT.601
+    of every (Cb, Cr), rounded half-up and clamped."""
+    cb, cr = np.meshgrid(np.arange(256.0) - 128.0, np.arange(256.0) - 128.0,
+                         indexing="ij")
     r = 128 + 1.402 * cr
     g = 128 - 0.344136 * cb - 0.714136 * cr
     b = 128 + 1.772 * cb
     out = np.stack([r, g, b], axis=-1)
     out = np.clip(np.floor(out + 0.5), 0, 255).astype(np.uint8)
-    return ImageRGB(img.width, img.height, out)
+    out.flags.writeable = False
+    return out

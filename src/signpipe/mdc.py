@@ -9,6 +9,7 @@ min-selection tree) reproduces the latency 3*D + ceil(log2 C) and
 1-label-per-cycle throughput.
 """
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -88,15 +89,14 @@ def classify(file: ClassCenterFile, x):
     return dists.index(min(dists))
 
 
-def _nearest_center_table(file: ClassCenterFile):
-    """(256, 256) int32 table of `classify(file, (cb, cr))` for all inputs."""
-    # a distance is at most 2 * max(255, 2**resolution_bits - 1); the
-    # narrowest type that holds it keeps the per-call table build cheap
-    dtype = np.int16 if file.resolution_bits <= 14 else np.int64
-    levels = np.arange(256, dtype=dtype)
+@functools.lru_cache(maxsize=8)
+def _nearest_center_table(cells):
+    """Read-only (256, 256) int32 table of `classify` for every (Cb, Cr)
+    input, built once per distinct 2-D register contents `cells`."""
+    levels = np.arange(256, dtype=np.int64)
     best = np.zeros((256, 256), dtype=np.int32)
     best_d = None
-    for j, (cb, cr) in enumerate(file.centers()):
+    for j, (cb, cr) in enumerate(zip(cells[0::2], cells[1::2])):
         d = np.abs(levels - cb)[:, None] + np.abs(levels - cr)[None, :]
         if best_d is None:
             best_d = d
@@ -104,18 +104,19 @@ def _nearest_center_table(file: ClassCenterFile):
         # strict: a tie keeps the lower class index
         np.copyto(best, j, where=d < best_d)
         np.minimum(best_d, d, out=best_d)
+    best.flags.writeable = False
     return best
 
 
 def classify_image(file: ClassCenterFile, img: ImageCbCr) -> ImageGray:
     """Per-pixel classification of a chroma image into class indices.
 
-    Chroma is 8-bit, so the classifier is tabulated once per call for
-    all 65,536 (Cb, Cr) pairs and each pixel is one table lookup.
+    Chroma is 8-bit, so the classifier is tabulated for all 65,536
+    (Cb, Cr) pairs, once per center file, and each pixel is one lookup.
     """
     if file.dims != 2:
         raise ValueError(f"chroma classification needs dims=2, got {file.dims}")
-    table = _nearest_center_table(file).reshape(-1)
+    table = _nearest_center_table(tuple(file.cells)).reshape(-1)
     index = (img.data[:, :, 0].astype(np.intp) << 8) | img.data[:, :, 1]
     return ImageGray(img.width, img.height, table.take(index))
 
@@ -275,8 +276,3 @@ def centers_from_json(text: str) -> ClassCenterFile:
         raise ValueError(f"resolution_bits must be an integer, got {bits!r}")
     return ClassCenterFile.from_centers(centers, resolution_bits=bits,
                                         names=names)
-
-
-def load_centers(path) -> ClassCenterFile:
-    with open(path, "r", encoding="utf-8") as fh:
-        return centers_from_json(fh.read())

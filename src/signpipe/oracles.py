@@ -23,6 +23,7 @@ import numpy as np
 from .ccl import ComponentFeatures
 from .filters import GAUSSIAN_DIVISOR, GAUSSIAN_KERNEL, stream_window
 from .image import ImageCbCr, ImageGray
+from .trainer import TOLERANCE
 
 
 def flood_fill_label(seg: ImageGray, skip=frozenset()):
@@ -116,7 +117,7 @@ def loop_converge(samples, config):
             new = inside.mean(axis=0) if len(inside) else y
             shift = np.hypot(*(new - y))
             y = new
-            if shift < config.tolerance:
+            if shift < TOLERANCE:
                 break
         converged[i] = y
     return converged

@@ -46,6 +46,12 @@ class PipelineConfig:
             raise ValueError(f"clock_mhz must be finite and > 0, "
                              f"got {self.clock_mhz}")
         self.skip_classes = frozenset(self.skip_classes)
+        n = self.centers.num_classes
+        for role, idx in ([("skip", i) for i in sorted(self.skip_classes)]
+                          + [("target", self.rule.target_class)]):
+            if not 0 <= idx < n:
+                raise ValueError(f"{role} class {idx} is not a class index "
+                                 f"in [0, {n})")
 
 
 @dataclass

@@ -26,18 +26,26 @@ def chroma_constant(width, height, chroma) -> ImageCbCr:
 
 
 def paint_disc(img: ImageCbCr, cx, cy, radius, chroma):
-    yy, xx = np.mgrid[0:img.height, 0:img.width]
+    """Paint a filled disc, touching only its bounding box."""
+    r = abs(radius)
+    y0 = max(0, math.floor(cy - r))
+    y1 = max(0, min(img.height, math.floor(cy + r) + 1))
+    x0 = max(0, math.floor(cx - r))
+    x1 = max(0, min(img.width, math.floor(cx + r) + 1))
+    yy, xx = np.mgrid[y0:y1, x0:x1]
     mask = (xx - cx) ** 2 + (yy - cy) ** 2 <= radius ** 2
-    img.data[mask] = chroma
+    img.data[y0:y1, x0:x1][mask] = chroma
     return img
 
 
 def add_chroma_noise(img: ImageCbCr, sigma, seed) -> ImageCbCr:
     """Additive Gaussian noise per pixel and channel, rounded and clamped."""
-    rng = np.random.default_rng(seed)
-    noisy = img.data.astype(np.float64) + rng.normal(0, sigma, img.data.shape)
-    noisy = np.clip(np.floor(noisy + 0.5), 0, 255).astype(np.uint8)
-    return ImageCbCr(img.width, img.height, noisy)
+    noisy = np.random.default_rng(seed).normal(0, sigma, img.data.shape)
+    noisy += img.data    # the same float64 sums as frame + noise
+    noisy += 0.5
+    np.floor(noisy, out=noisy)
+    np.clip(noisy, 0, 255, out=noisy)
+    return ImageCbCr(img.width, img.height, noisy.astype(np.uint8))
 
 
 def disc_frame(width=200, height=200, radius=30, ring=10,

@@ -2,9 +2,10 @@
 
 Flat-kernel mode seeking (Comaniciu & Meer, TPAMI 2002): every seed, one
 sample in `seed_stride`, moves to the mean of the samples within the
-bandwidth radius until the shift is below tolerance, then nearby
-convergence points collapse into modes. Features are normalized to
-[0, 1] before the bandwidth applies, so the bandwidth is dimensionless.
+bandwidth radius until the shift is below `TOLERANCE`, then convergence
+points within half the bandwidth collapse into modes. Features are
+normalized to [0, 1] before the bandwidth applies, so the bandwidth is
+dimensionless.
 
 Chroma is 8-bit, so a frame holds few distinct (Cb, Cr) values, and a
 seed's path depends only on its value. `converge` therefore works in two
@@ -45,22 +46,20 @@ from .mdc import format_centers
 # float64, whatever the sample count
 _BLOCK = 1 << 18
 
+# a seed stops once its step moves it less than this, in normalized units
+TOLERANCE = 1e-4
+
 
 @dataclass
 class MeanShiftConfig:
     bandwidth: float = 0.4
-    tolerance: float = 1e-4
     max_iterations: int = 500
-    merge_radius: float = None  # defaults to bandwidth / 2
     seed_stride: int = 4
 
     def __post_init__(self):
-        if self.merge_radius is None:
-            self.merge_radius = self.bandwidth / 2
-        for name in ("bandwidth", "tolerance", "merge_radius"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        if not (math.isfinite(self.bandwidth) and self.bandwidth > 0):
+            raise ValueError(f"bandwidth must be finite and > 0, "
+                             f"got {self.bandwidth}")
         for name in ("max_iterations", "seed_stride"):
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)) or value < 1:
@@ -77,11 +76,9 @@ class ClusterResult:
             raise ValueError("modes and support lengths differ")
 
 
-def mean_shift(samples, config: MeanShiftConfig = None) -> ClusterResult:
+def mean_shift(samples, config: MeanShiftConfig) -> ClusterResult:
     """Cluster (Cb, Cr) samples; returns modes sorted by descending support."""
-    if config is None:
-        config = MeanShiftConfig()
-    return merge_modes(converge(samples, config), config.merge_radius)
+    return merge_modes(converge(samples, config), config.bandwidth / 2)
 
 
 def converge(samples, config: MeanShiftConfig) -> np.ndarray:
@@ -156,7 +153,7 @@ def _last_steps(seeds, values, weights, config):
             n = sums[:, :1]
             new = np.where(n > 0, sums[:, 1:] / np.maximum(n, 1) / 255.0, p)
             shift = np.hypot(*(new - p).T)
-            last = shift < config.tolerance
+            last = shift < TOLERANCE
             if step == config.max_iterations - 1:
                 last[:] = True
             starts[active[last]] = p[last]
@@ -191,8 +188,8 @@ def merge_modes(converged, merge_radius) -> ClusterResult:
     return ClusterResult(out_modes, [support[k] for k in order])
 
 
-def centers_to_file(result: ClusterResult, names, resolution_bits=8) -> str:
-    """Serialize trained modes as classifier center-file JSON.
+def centers_to_file(result: ClusterResult, names) -> str:
+    """Serialize trained modes as an 8-bit classifier center-file JSON.
 
     Class order follows the result's descending-support order (ties break
     by ascending Cb, then Cr). A single mode is written too, but the
@@ -200,4 +197,4 @@ def centers_to_file(result: ClusterResult, names, resolution_bits=8) -> str:
     """
     if len(names) != len(result.modes):
         raise ValueError(f"{len(names)} names for {len(result.modes)} modes")
-    return format_centers(names, result.modes, resolution_bits)
+    return format_centers(names, result.modes, 8)

@@ -9,9 +9,10 @@ import pytest
 
 from signpipe.cli import main
 from signpipe.detector import annotate
-from signpipe.image import load_pnm, save_pnm
+from signpipe.image import ImageRGB, load_pnm, rgb_to_cbcr, save_pnm
 from signpipe.pipeline import PipelineConfig, run_pipeline
 from signpipe.synthetic import background_frame, disc_frame
+from signpipe.trainer import MeanShiftConfig, centers_to_file, mean_shift
 
 
 @pytest.fixture
@@ -142,6 +143,28 @@ def test_train_subcommand(tmp_path, capsys):
     assert doc["classes"][0]["center"] == [127, 128]
 
 
+def test_synth_defaults_are_the_library_defaults(tmp_path):
+    path = tmp_path / "synth.ppm"
+    assert main(["synth", str(path)]) == 0
+    assert path.read_bytes() == save_pnm(disc_frame())
+
+
+def test_train_defaults_are_the_library_defaults(tmp_path):
+    # noisy blue and red halves: chroma far enough apart for two modes at
+    # the default bandwidth, spread enough that the bandwidth moves them
+    data = np.zeros((16, 32, 3), dtype=np.int64)
+    data[:, :16, 2] = data[:, 16:, 0] = 255
+    data += np.random.default_rng(0).integers(-140, 140, data.shape)
+    rgb = ImageRGB(32, 16, np.clip(data, 0, 255).astype(np.uint8))
+    path = tmp_path / "frame.ppm"
+    path.write_bytes(save_pnm(rgb))
+    out_path = tmp_path / "centers.json"
+    assert main(["train", str(path), "--out-centers", str(out_path)]) == 0
+    result = mean_shift(rgb_to_cbcr(rgb).data.reshape(-1, 2), MeanShiftConfig())
+    assert len(result.modes) == 2
+    assert out_path.read_text() == centers_to_file(result, ["class0", "class1"])
+
+
 def test_synth_subcommand(tmp_path):
     path = tmp_path / "synth.ppm"
     assert main(["synth", str(path), "--width", "80", "--height", "60"]) == 0
@@ -228,7 +251,7 @@ def test_bad_flag_in_subprocess(frame_path):
     assert proc.returncode != 0
     assert proc.stdout == ""
     assert proc.stderr.splitlines() == [
-        "signpipe: --skip-class 9 is not a class index in [0, 4)"]
+        "signpipe: skip class 9 is not a class index in [0, 4)"]
 
 
 def test_usage_error_in_subprocess(frame_path):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from signpipe import filters
 from signpipe.filters import (GAUSSIAN_KERNEL, LineBufferState, gaussian3x3,
                               median3x3, stream_window)
 from signpipe.image import ImageCbCr, ImageGray
@@ -79,6 +80,24 @@ class TestStreamWindow:
         for x in range(17):
             state.push(x, 0, x)
         assert state.retained() <= 2 * 17 + 9  # three 3-value registers
+
+    @pytest.mark.parametrize("w, h, peak", [
+        (3, 3, 15), (17, 5, 43), (40, 9, 89), (4, 1, 17),
+        (1, 4, 5), (2, 3, 10),
+    ])
+    def test_line_buffer_peak(self, w, h, peak, monkeypatch):
+        # two rows plus three registers of min(3, w) values: 2*w + 9 from
+        # w = 3 on, 5*w below
+        seen = []
+
+        class Recording(LineBufferState):
+            def push(self, *args, **kwargs):
+                super().push(*args, **kwargs)
+                seen.append(self.retained())
+
+        monkeypatch.setattr(filters, "LineBufferState", Recording)
+        assert len(list(stream_window(w, h, range(w * h)))) == w * h
+        assert max(seen) == peak == (2 * w + 9 if w >= 3 else 5 * w)
 
 
 class TestGaussian:

@@ -219,6 +219,20 @@ class TestRgbToCbcr:
             got = rgb_to_cbcr(ImageRGB(rgb.shape[1], 16, rgb)).data
             assert np.array_equal(got, expected), f"red levels {r0}..{r0 + 15}"
 
+    def test_inverse_exhaustive_against_float_formula(self):
+        # all 65,536 (Cb, Cr) pairs in shuffled order, against the float64
+        # inverse BT.601 at luma 128, rounded half-up and clamped
+        pairs = np.random.default_rng(0).permutation(65536)
+        chroma = np.stack([pairs >> 8, pairs & 255], axis=-1).astype(np.uint8)
+        cb = chroma[:, 0].astype(np.float64) - 128.0
+        cr = chroma[:, 1].astype(np.float64) - 128.0
+        expected = np.stack([128 + 1.402 * cr,
+                             128 - 0.344136 * cb - 0.714136 * cr,
+                             128 + 1.772 * cb], axis=-1)
+        expected = np.clip(np.floor(expected + 0.5), 0, 255)
+        got = cbcr_to_rgb(ImageCbCr(256, 256, chroma.reshape(256, 256, 2)))
+        assert np.array_equal(got.data.reshape(-1, 3), expected)
+
     def test_inverse_is_close_for_midrange_chroma(self):
         # round trip through the synthetic-frame path stays within 1 level
         from signpipe.image import ImageCbCr

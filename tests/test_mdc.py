@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from signpipe import mdc
 from signpipe.image import ImageCbCr
 from signpipe.mdc import (ClassCenterFile, PipelineModel, centers_from_json,
                           centers_to_json, classify, classify_image,
@@ -210,6 +211,21 @@ class TestClassifyImage:
         f = ClassCenterFile(3, 2)
         with pytest.raises(ValueError):
             classify_image(f, ImageCbCr(1, 1, np.zeros((1, 1, 2), np.uint8)))
+
+    def test_reflects_a_programmed_center(self):
+        # the table is built once per register contents, so a write to
+        # the register file must reach the next classification
+        f = default_file()
+        pixel = ImageCbCr(1, 1, np.array([[[10, 240]]], dtype=np.uint8))
+        assert classify_image(f, pixel).data[0, 0] == 3
+        program_center(f, 0, 10)
+        program_center(f, 1, 240)
+        assert classify_image(f, pixel).data[0, 0] == 0
+
+    def test_table_is_read_only(self):
+        table = mdc._nearest_center_table(tuple(default_file().cells))
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
 
 
 class TestPipelineModel:

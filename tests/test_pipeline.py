@@ -8,6 +8,7 @@ else. Component ids follow raster order, so features are compared as
 multisets.
 """
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from signpipe.detector import DetectionRule
 from signpipe.image import ImageRGB, cbcr_to_rgb
 from signpipe.mdc import ClassCenterFile
 from signpipe.pipeline import PipelineConfig, run_pipeline, verify_frame
@@ -82,6 +84,18 @@ def test_translating_a_sign_translates_its_bbox_and_centroid(placement):
 
     assert sorted(moved(c, dx, dy) for c in before) == \
         sorted(moved(c, 0, 0) for c in after)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"skip_classes": {4}}, "skip class 4 is not a class index in [0, 4)"),
+    ({"skip_classes": {0, -1}}, "skip class -1 is not"),
+    ({"rule": DetectionRule(target_class=4)},
+     "target class 4 is not a class index in [0, 4)"),
+], ids=["skip_past_end", "negative_skip", "target_past_end"])
+def test_config_refuses_class_indices_outside_the_center_file(kwargs, message):
+    # the shipped center file has 4 classes
+    with pytest.raises(ValueError, match=re.escape(message)):
+        PipelineConfig(**kwargs)
 
 
 @st.composite
