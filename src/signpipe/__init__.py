@@ -2,7 +2,7 @@
 
 from .ccl import ComponentFeatures, label_components
 from .detector import Detection, DetectionRule, annotate, detect
-from .filters import Window3x3, gaussian3x3, median3x3, stream_window
+from .filters import gaussian3x3, median3x3, stream_window
 from .image import (ImageCbCr, ImageGray, ImageRGB, PnmError, cbcr_to_rgb,
                     load_pnm, rgb_to_cbcr, save_pnm)
 from .mdc import (ClassCenterFile, PipelineModel, classify, classify_image,

@@ -5,13 +5,11 @@ cleanup) are the production filters: whole-array numpy operations with
 edge replication at the borders, so output dimensions match the input.
 
 `stream_window` models the hardware discipline: pixels arrive in raster
-order and at most two image rows plus a few shift-register values are
-retained, independent of image height. The stream references in
-`oracles` run both filters on it, and the tests and `signpipe verify`
-hold the production filters to them bit for bit.
+order and only two image rows plus a 3x3 window register are retained,
+independent of image height. The stream references in `oracles` run
+both filters on it, and the tests and `signpipe verify` hold the
+production filters to them bit for bit.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,114 +20,75 @@ GAUSSIAN_KERNEL = (1, 2, 1, 2, 4, 2, 1, 2, 1)
 GAUSSIAN_DIVISOR = 16
 
 
-@dataclass(frozen=True)
-class Window3x3:
-    """Nine cell values in row-major order around a center pixel."""
-    cells: tuple
-    cx: int
-    cy: int
-
-
 class LineBufferState:
-    """Two circulating row buffers plus 3-deep shift registers.
+    """Two circulating row buffers and one 3x3 window register.
 
     rows[r % 2] is overwritten in place by row r as it streams in; the
-    value it held (row r-2) is read into the shift registers first, so
-    total retained state is 2*width values plus three 3-value registers.
+    value it held (row r-2) is read first. Each pixel shifts one column
+    (rows r-2, r-1, r) into the window, a row-major 9-tuple, so the
+    retained state is 2*width row values plus nine, whatever the width.
     """
 
     def __init__(self, width):
         self.width = width
         self.rows = [[0] * width, [0] * width]
-        self.top3 = []  # last <=3 values of the row two above the incoming one
-        self.mid3 = []  # last <=3 values of the row above the incoming one
-        self.bot3 = []  # last <=3 incoming values
-        self.cursor = 0  # pixels accepted so far
+        self.window = ()  # empty until column 0 loads it
 
     def retained(self):
-        return 2 * self.width + len(self.top3) + len(self.mid3) + len(self.bot3)
+        return 2 * self.width + len(self.window)
 
-    def push(self, x, r, value, write=True):
-        top = self.rows[r % 2][x]       # row r-2, read before overwrite
-        mid = self.rows[(r + 1) % 2][x]  # row r-1
-        if write:
-            self.rows[r % 2][x] = value
-            self.cursor += 1
-        for reg, v in ((self.top3, top), (self.mid3, mid), (self.bot3, value)):
-            reg.append(v)
-            if len(reg) > 3:
-                reg.pop(0)
+    def column(self, x, r):
+        """Rows r-2 and r-1 at x; the row-1 pass replicates row 0 upward."""
+        mid = self.rows[(r + 1) % 2][x]
+        return (self.rows[r % 2][x] if r > 1 else mid), mid
 
-    def clear_registers(self):
-        self.top3.clear()
-        self.mid3.clear()
-        self.bot3.clear()
+    def shift(self, top, mid, bottom, load=False):
+        """Shift one column in; `load` (the left edge) fills all three."""
+        if load:
+            self.window = (top,) * 3 + (mid,) * 3 + (bottom,) * 3
+        else:
+            w = self.window
+            self.window = (w[1], w[2], top, w[4], w[5], mid, w[7], w[8], bottom)
+
+    def push(self, x, r, value):
+        """Shift in pixel x of row r with the two above it, then store it."""
+        self.shift(*self.column(x, r), value, load=x == 0)
+        self.rows[r % 2][x] = value
 
 
-def _reg_cols(reg, right_edge):
-    # Registers hold the last up-to-3 column values ending at the current x.
-    # Normal emission centers on x-1 (cols x-2, x-1, x); the right-edge
-    # emission centers on x itself and replicates the last column.
-    if right_edge:
-        a = reg[-2] if len(reg) >= 2 else reg[-1]
-        return (a, reg[-1], reg[-1])
-    if len(reg) >= 3:
-        return (reg[-3], reg[-2], reg[-1])
-    return (reg[0], reg[0], reg[-1])  # left edge: replicate column 0
+_END = object()
 
 
 def stream_window(width, height, pixels):
-    """Yield one Window3x3 per pixel of a raster-order stream.
-
-    Emits exactly width*height windows in raster order. Raises ValueError
-    if the stream length does not match width*height.
+    """Yield each pixel's 3x3 window, a row-major 9-tuple with the edges
+    replicated, in raster order. Row r's windows leave one column behind
+    row r+1's pass, and the row end shifts the last column in once more.
+    Raises ValueError unless the stream holds width*height pixels.
     """
     if width < 1 or height < 1:
         raise ValueError(f"bad dimensions {width}x{height}")
     state = LineBufferState(width)
     it = iter(pixels)
-
-    def take():
-        try:
-            return next(it)
-        except StopIteration:
-            raise ValueError(
-                f"stream-length mismatch: expected {width * height} pixels, "
-                f"got {state.cursor}") from None
-
-    def emit(cx, cy, right_edge=False):
-        # cy == 0 has no row above: replicate the middle row upward
-        top = state.mid3 if cy == 0 else state.top3
-        cells = (_reg_cols(top, right_edge)
-                 + _reg_cols(state.mid3, right_edge)
-                 + _reg_cols(state.bot3, right_edge))
-        return Window3x3(cells, cx, cy)
-
-    for r in range(height):
-        state.clear_registers()
+    for r in range(height + 1):
         for x in range(width):
-            state.push(x, r, take())
-            if r >= 1 and x >= 1:
-                yield emit(x - 1, r - 1)
-        if r >= 1:
-            yield emit(width - 1, r - 1, right_edge=True)
-
-    # bottom flush: virtual row `height` replicates the last row
-    state.clear_registers()
-    r = height
-    for x in range(width):
-        bottom = state.rows[(r + 1) % 2][x]  # row height-1, replicated
-        state.push(x, r, bottom, write=False)
-        if x >= 1:
-            yield emit(x - 1, height - 1)
-    yield emit(width - 1, height - 1, right_edge=True)
-
-    try:
-        next(it)
-    except StopIteration:
-        return
-    raise ValueError(f"stream-length mismatch: expected {width * height} "
-                     f"pixels, got more")
+            if r < height:
+                value = next(it, _END)
+                if value is _END:
+                    raise ValueError(
+                        f"stream-length mismatch: expected {width * height} "
+                        f"pixels, got {r * width + x}")
+                state.push(x, r, value)
+            else:  # flush: replay row height-1 below itself, write nothing
+                top, mid = state.column(x, r)
+                state.shift(top, mid, mid, load=x == 0)
+            if r and x:
+                yield state.window
+        if r:
+            state.shift(*state.window[2::3])  # right edge: last column again
+            yield state.window
+    if next(it, _END) is not _END:
+        raise ValueError(f"stream-length mismatch: expected {width * height} "
+                         f"pixels, got more")
 
 
 def _sum3x3(padded, mid):

@@ -6,8 +6,8 @@ agreement is verification rather than shared code agreeing with itself:
 - `flood_fill_label`: a per-pixel stack-based flood fill, against the
   run-based labeler of `ccl.label_components`;
 - `stream_gaussian3x3` and `stream_median3x3`: the hardware-faithful
-  filters, one window per pixel off the two-row line buffer of
-  `filters.stream_window`, against the whole-array numpy filters;
+  filters, one window per pixel off `filters.stream_window` (two rows
+  plus a 3x3 window register), against the whole-array numpy filters;
 - `loop_converge`: mean shift one seed at a time, each step scanning every
   sample, against the trainer's batched steps over distinct chroma values.
 
@@ -66,11 +66,9 @@ def flood_fill_label(seg: ImageGray, skip=frozenset()):
 
 def _stream_filter_plane(plane, window_fn):
     h, w = plane.shape
-    out = np.empty((h, w), dtype=np.int64)
-    flat = out.reshape(-1)
-    for i, win in enumerate(stream_window(w, h, plane.reshape(-1).tolist())):
-        flat[i] = window_fn(win.cells)
-    return out
+    windows = stream_window(w, h, plane.reshape(-1).tolist())
+    return np.fromiter(map(window_fn, windows), dtype=np.int64,
+                       count=h * w).reshape(h, w)
 
 
 def _gaussian_cell(cells):

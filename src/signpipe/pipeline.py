@@ -166,10 +166,12 @@ def verify_frame(config: PipelineConfig, rgb: ImageRGB):
         chroma = smoothed
 
     seg = classify_image(config.centers, chroma)
-    flat = chroma.data.reshape(-1, 2).tolist()
-    expected = np.fromiter((classify(config.centers, p) for p in flat),
-                           dtype=np.int32, count=len(flat)).reshape(seg.data.shape)
-    results["classify"] = bool(np.array_equal(seg.data, expected))
+    # the scalar reference once per distinct (Cb, Cr) pair, read back per pixel
+    pairs, inverse = np.unique(chroma.data.reshape(-1, 2), axis=0,
+                               return_inverse=True)
+    expected = np.array([classify(config.centers, p) for p in pairs.tolist()])
+    results["classify"] = bool(np.array_equal(
+        seg.data.reshape(-1), expected[inverse.reshape(-1)]))
 
     filtered = median3x3(seg)
     results["median"] = filtered == oracles.stream_median3x3(seg)

@@ -52,7 +52,7 @@ TOLERANCE = 1e-4
 
 @dataclass
 class MeanShiftConfig:
-    bandwidth: float = 0.4
+    bandwidth: float = 0.05
     max_iterations: int = 500
     seed_stride: int = 4
 

@@ -4,12 +4,12 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
+from signpipe import pipeline
 from signpipe.cli import main
 from signpipe.detector import annotate
-from signpipe.image import ImageRGB, load_pnm, rgb_to_cbcr, save_pnm
+from signpipe.image import load_pnm, rgb_to_cbcr, save_pnm
 from signpipe.pipeline import PipelineConfig, run_pipeline
 from signpipe.synthetic import background_frame, disc_frame
 from signpipe.trainer import MeanShiftConfig, centers_to_file, mean_shift
@@ -130,6 +130,43 @@ def test_verify_subcommand(tmp_path, capsys):
         assert f"{stage}: ok" in out
 
 
+def _flip_first(img):
+    data = img.data.copy()
+    data.reshape(-1)[0] ^= 1
+    return type(img)(img.width, img.height, data)
+
+
+def _drop_last_component(real):
+    def label(seg, skip):
+        labels, feats = real(seg, skip)
+        return labels, feats[:-1]
+    return label
+
+
+# each stage's production function in `pipeline`, and a wrong version of it
+WRONG_STAGES = {
+    "gaussian": ("gaussian3x3",
+                 lambda real: lambda img: _flip_first(real(img))),
+    "classify": ("classify_image", lambda real: lambda centers, chroma:
+                 _flip_first(real(centers, chroma))),
+    "median": ("median3x3", lambda real: lambda seg: _flip_first(real(seg))),
+    "labeling": ("label_components", _drop_last_component),
+}
+
+
+@pytest.mark.parametrize("stage", WRONG_STAGES)
+def test_verify_names_the_stage_at_fault(stage, tmp_path, capsys,
+                                         monkeypatch):
+    path = tmp_path / "small.ppm"
+    path.write_bytes(save_pnm(disc_frame(48, 48, 10, 4)))
+    name, wrong = WRONG_STAGES[stage]
+    monkeypatch.setattr(pipeline, name, wrong(getattr(pipeline, name)))
+    assert main(["verify", str(path)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    for other in WRONG_STAGES:
+        assert f"{other}: {'MISMATCH' if other == stage else 'ok'}" in out
+
+
 def test_train_subcommand(tmp_path, capsys):
     path = tmp_path / "frame.ppm"
     path.write_bytes(save_pnm(disc_frame(64, 64, 16, 6)))
@@ -150,19 +187,24 @@ def test_synth_defaults_are_the_library_defaults(tmp_path):
 
 
 def test_train_defaults_are_the_library_defaults(tmp_path):
-    # noisy blue and red halves: chroma far enough apart for two modes at
-    # the default bandwidth, spread enough that the bandwidth moves them
-    data = np.zeros((16, 32, 3), dtype=np.int64)
-    data[:, :16, 2] = data[:, 16:, 0] = 255
-    data += np.random.default_rng(0).integers(-140, 140, data.shape)
-    rgb = ImageRGB(32, 16, np.clip(data, 0, 255).astype(np.uint8))
+    # a noisy sign frame: three modes at the default bandwidth 0.05, two
+    # at 0.1 and one at 0.4, so the default shows in the file
+    rgb = disc_frame(64, 64, 16, 6, sigma=4)
     path = tmp_path / "frame.ppm"
     path.write_bytes(save_pnm(rgb))
     out_path = tmp_path / "centers.json"
     assert main(["train", str(path), "--out-centers", str(out_path)]) == 0
     result = mean_shift(rgb_to_cbcr(rgb).data.reshape(-1, 2), MeanShiftConfig())
-    assert len(result.modes) == 2
-    assert out_path.read_text() == centers_to_file(result, ["class0", "class1"])
+    assert len(result.modes) == 3
+    assert out_path.read_text() == centers_to_file(
+        result, ["class0", "class1", "class2"])
+
+
+def test_synth_train_detect_with_no_flags(tmp_path):
+    frame, centers = tmp_path / "frame.ppm", tmp_path / "centers.json"
+    assert main(["synth", str(frame)]) == 0
+    assert main(["train", str(frame), "--out-centers", str(centers)]) == 0
+    assert main(["detect", str(frame), "--centers", str(centers)]) == 0
 
 
 def test_synth_subcommand(tmp_path):
@@ -237,12 +279,28 @@ def test_bad_input_exits_with_one_line(argv, frame_path, tmp_path):
     assert "\n" not in message
 
 
-def _run_cli(*argv):
+def _python(*args):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(__file__).resolve().parents[1] / "src"),
          os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run([sys.executable, "-m", "signpipe.cli", *argv],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env)
+
+
+def _run_cli(*argv):
+    return _python("-m", "signpipe.cli", *argv)
+
+
+def test_runtime_imports_are_numpy_and_the_standard_library():
+    # numpy is the only runtime dependency: the package and its CLI load
+    # no other module beyond those the interpreter loaded at start
+    proc = _python("-c", "import sys; before = set(sys.modules); "
+                   "import signpipe, signpipe.cli; "
+                   "print(*sorted(set(sys.modules) - before))")
+    assert proc.returncode == 0, proc.stderr
+    added = {m.split(".")[0] for m in proc.stdout.split()}
+    assert "signpipe" in added
+    assert added - sys.stdlib_module_names - {"numpy", "signpipe"} == set()
 
 
 def test_bad_flag_in_subprocess(frame_path):

@@ -47,24 +47,20 @@ class TestStreamWindow:
         img = np.arange(9).reshape(3, 3)
         wins = list(stream_window(3, 3, img.reshape(-1).tolist()))
         assert len(wins) == 9
-        center = [w for w in wins if (w.cx, w.cy) == (1, 1)][0]
-        assert center.cells == tuple(range(9))
+        assert wins[4] == tuple(range(9))
 
     def test_1x2_replication(self):
         wins = list(stream_window(1, 2, [7, 9]))
-        assert len(wins) == 2
-        assert wins[0].cells == (7, 7, 7, 7, 7, 7, 9, 9, 9)
-        assert wins[1].cells == (7, 7, 7, 9, 9, 9, 9, 9, 9)
+        assert wins == [(7, 7, 7, 7, 7, 7, 9, 9, 9),
+                        (7, 7, 7, 9, 9, 9, 9, 9, 9)]
 
     @given(planes())
     @settings(max_examples=60)
     def test_matches_random_access_gather(self, plane):
         h, w = plane.shape
         wins = list(stream_window(w, h, plane.reshape(-1).tolist()))
-        assert [(win.cx, win.cy) for win in wins] == [
-            (x, y) for y in range(h) for x in range(w)]
-        for win in wins:
-            assert win.cells == gather_window(plane, win.cx, win.cy)
+        assert wins == [gather_window(plane, x, y)
+                        for y in range(h) for x in range(w)]
 
     def test_stream_too_short(self):
         with pytest.raises(ValueError, match="stream-length mismatch"):
@@ -79,15 +75,14 @@ class TestStreamWindow:
         assert state.retained() <= 2 * 17
         for x in range(17):
             state.push(x, 0, x)
-        assert state.retained() <= 2 * 17 + 9  # three 3-value registers
+        assert state.retained() <= 2 * 17 + 9  # one 3x3 window register
 
     @pytest.mark.parametrize("w, h, peak", [
         (3, 3, 15), (17, 5, 43), (40, 9, 89), (4, 1, 17),
-        (1, 4, 5), (2, 3, 10),
+        (1, 4, 11), (2, 3, 13),
     ])
     def test_line_buffer_peak(self, w, h, peak, monkeypatch):
-        # two rows plus three registers of min(3, w) values: 2*w + 9 from
-        # w = 3 on, 5*w below
+        # two rows plus the nine values of the window register, at any w
         seen = []
 
         class Recording(LineBufferState):
@@ -97,7 +92,7 @@ class TestStreamWindow:
 
         monkeypatch.setattr(filters, "LineBufferState", Recording)
         assert len(list(stream_window(w, h, range(w * h)))) == w * h
-        assert max(seen) == peak == (2 * w + 9 if w >= 3 else 5 * w)
+        assert max(seen) == peak == 2 * w + 9
 
 
 class TestGaussian:
