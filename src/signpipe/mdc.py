@@ -4,9 +4,10 @@ The register file holds D*C unsigned center components in class-major
 order (cell j*D + d is dimension d of class j). Classification is
 nearest-centroid under the Manhattan metric, so only subtractions,
 absolute values, and additions are needed. A cycle-stepped model of the
-pipelined structure (3-cycle dimension stages feeding a pairwise
-min-selection tree) reproduces the latency 3*D + ceil(log2 C) and
-1-label-per-cycle throughput.
+pipelined structure reproduces the latency 3*D + ceil(log2 C) and
+1-label-per-cycle throughput: each dimension takes three register stages
+(subtract the center components, take absolute values, accumulate) and
+feeds a pairwise min-selection tree of ceil(log2 C) levels.
 """
 
 import functools
@@ -149,71 +150,55 @@ class PipelineModel:
         return self.resolution_bits + max(2, math.ceil(math.log2(self.dims)))
 
 
-@dataclass
-class _InFlight:
-    vector: tuple
-    partial: list          # per-class accumulated distance
-    candidates: list = None  # [(distance, class index)] once in the tree
+def _subtract(centers, d, x, candidates):
+    """Register 3d: subtract center component d for every class."""
+    return x, candidates, [x[d] - center[d] for center in centers]
+
+
+def _absolute(x, candidates, diffs):
+    """Register 3d+1: take the absolute values of the differences."""
+    return x, candidates, [abs(e) for e in diffs]
+
+
+def _accumulate(x, candidates, diffs):
+    """Register 3d+2: add them into the (distance, class) candidates."""
+    return x, [(s + e, j) for (s, j), e in zip(candidates, diffs)]
+
+
+def _select(x, candidates):
+    """One selection level: the smaller of each pair; candidates stay in
+    class order, so a tie keeps the lower class. An unpaired one passes."""
+    return x, [min(candidates[i:i + 2]) for i in range(0, len(candidates), 2)]
 
 
 def simulate_pipeline(model: PipelineModel, file: ClassCenterFile, schedule):
     """Step the pipelined classifier one cycle at a time.
 
-    One feature vector is accepted per cycle starting at cycle 0; the
-    result for the vector accepted at cycle t appears at cycle
-    t + 3*dims + ceil(log2 C). Returns a list of (cycle, label).
+    One feature vector is accepted per cycle from cycle 0. Each cycle
+    emits the last register's label, then moves every value one register
+    on through its stage, so the vector accepted at cycle t is labelled
+    at cycle t + 3*dims + ceil(log2 C). Returns a list of (cycle, label).
     """
     if (model.dims, model.num_classes) != (file.dims, file.num_classes):
         raise ValueError("model and register file disagree on dims/classes")
-    n_dist = 3 * model.dims
-    levels = model.selection_levels
-    regs = [None] * (n_dist + levels)
+    stages = [stage for d in range(model.dims) for stage in (
+        functools.partial(_subtract, file.centers(), d), _absolute,
+        _accumulate)] + [_select] * model.selection_levels
+    schedule = [tuple(x) for x in schedule]
+    for cycle, x in enumerate(schedule):
+        if len(x) != model.dims:
+            raise ValueError(f"schedule entry at cycle {cycle} has length "
+                             f"{len(x)}, expected {model.dims}")
+    start = [(0, j) for j in range(model.num_classes)]
+    regs = [None] * len(stages)
     outputs = []
-    schedule = list(schedule)
-    cycle = 0
-    pending = len(schedule)
-
-    while pending > 0:
-        done = regs[-1] if regs else None
-        # shift every register toward the output
-        for k in range(len(regs) - 1, 0, -1):
-            regs[k] = regs[k - 1]
-        regs[0] = None
-        if cycle < len(schedule):
-            x = tuple(schedule[cycle])
-            if len(x) != model.dims:
-                raise ValueError(f"schedule entry at cycle {cycle} has length "
-                                 f"{len(x)}, expected {model.dims}")
-            regs[0] = _InFlight(x, [0] * model.num_classes)
-        # dimension stages: the accumulate happens on the last of each
-        # 3-cycle process
-        for d in range(model.dims):
-            item = regs[3 * d + 2]
-            if item is not None and item.candidates is None:
-                for j in range(model.num_classes):
-                    item.partial[j] += abs(item.vector[d]
-                                           - file.cells[j * model.dims + d])
-                if d == model.dims - 1:
-                    item.candidates = list(zip(item.partial,
-                                               range(model.num_classes)))
-        # selection tree: one pairwise-reduction level per register; an
-        # unpaired candidate passes through unchanged to the next level
-        for lv in range(levels):
-            item = regs[n_dist + lv]
-            if item is not None and item.candidates is not None:
-                cand = item.candidates
-                reduced = []
-                for i in range(0, len(cand) - 1, 2):
-                    a, b = cand[i], cand[i + 1]
-                    reduced.append(a if a[0] <= b[0] else b)
-                if len(cand) % 2:
-                    reduced.append(cand[-1])
-                item.candidates = reduced
-        if done is not None:
-            assert len(done.candidates) == 1
-            outputs.append((cycle, done.candidates[0][1]))
-            pending -= 1
-        cycle += 1
+    for cycle in range(len(schedule) + len(stages)):
+        if regs[-1] is not None:
+            _, [(_, label)] = regs[-1]
+            outputs.append((cycle, label))
+        value = (schedule[cycle], start) if cycle < len(schedule) else None
+        regs = [None if v is None else stage(*v)
+                for stage, v in zip(stages, [value] + regs[:-1])]
     return outputs
 
 

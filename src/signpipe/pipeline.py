@@ -166,10 +166,11 @@ def verify_frame(config: PipelineConfig, rgb: ImageRGB):
         chroma = smoothed
 
     seg = classify_image(config.centers, chroma)
-    # the scalar reference once per distinct (Cb, Cr) pair, read back per pixel
-    pairs, inverse = np.unique(chroma.data.reshape(-1, 2), axis=0,
-                               return_inverse=True)
-    expected = np.array([classify(config.centers, p) for p in pairs.tolist()])
+    # the scalar reference once per distinct 16-bit (Cb << 8) | Cr key
+    keys, inverse = np.unique((chroma.data[:, :, 0].astype(np.intp) << 8)
+                              | chroma.data[:, :, 1], return_inverse=True)
+    expected = np.array([classify(config.centers, divmod(k, 256))
+                         for k in keys.tolist()])
     results["classify"] = bool(np.array_equal(
         seg.data.reshape(-1), expected[inverse.reshape(-1)]))
 

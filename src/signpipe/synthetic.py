@@ -62,6 +62,8 @@ def disc_frame(width=200, height=200, radius=30, ring=10,
                          f"and {ring}")
     if not (math.isfinite(sigma) and sigma >= 0):
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     frame = chroma_constant(width, height, BACKGROUND_CHROMA)
     cx, cy = width // 2, height // 2
     paint_disc(frame, cx, cy, radius + ring, RED_CHROMA)

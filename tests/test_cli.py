@@ -252,6 +252,7 @@ def test_missing_file_exits(tmp_path):
     ["synth", "{tmp}/s.ppm", "--sigma", "-3"],
     ["synth", "{tmp}/s.ppm", "--width", "4097"],
     ["synth", "{tmp}/s.ppm", "--height", "4097"],
+    ["synth", "{tmp}/s.ppm", "--seed", "-1"],
 ], ids=["ratio_not_a_number", "ratio_min_above_max", "skip_class_range",
         "target_class_range", "both_class_flags", "negative_target",
         "center_without_name", "missing_center_file", "zero_clock",
@@ -262,7 +263,7 @@ def test_missing_file_exits(tmp_path):
         "ablate_output_flag", "area_not_an_integer", "unknown_flag",
         "truncated_frame", "deeply_nested_centers", "negative_radius",
         "negative_ring", "nan_sigma", "negative_sigma", "width_above_bound",
-        "height_above_bound"])
+        "height_above_bound", "negative_seed"])
 def test_bad_input_exits_with_one_line(argv, frame_path, tmp_path):
     no_name = tmp_path / "no_name.json"
     no_name.write_text('{"classes": [{"center": [127, 128]},'

@@ -70,6 +70,10 @@ class TestStreamWindow:
         with pytest.raises(ValueError, match="stream-length mismatch"):
             list(stream_window(3, 3, range(10)))
 
+    def test_bad_dimensions(self):
+        with pytest.raises(ValueError, match="bad dimensions 0x1"):
+            list(stream_window(0, 1, []))
+
     def test_memory_bound(self):
         state = LineBufferState(17)
         assert state.retained() <= 2 * 17

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import Phase, example, given, settings
@@ -134,6 +136,16 @@ class TestLoadPnm:
             load_pnm(raw)
         assert exc.value.offset == offset
         assert len(str(exc.value).encode()) < 200
+
+    @pytest.mark.parametrize("raw,message,offset", [
+        (b"P3 1 1 255 1 256 3", "sample 256 out of range [0, 255]", 13),
+        (b"P6 1 0 255\n", "height must be >= 1, got 0", 5),
+        (b"P6 1 1 255", "missing whitespace after maxval", 10),
+    ], ids=["sample_above_255", "zero_height", "no_whitespace_after_maxval"])
+    def test_error_names_the_fault_and_its_offset(self, raw, message, offset):
+        with pytest.raises(PnmError, match=re.escape(message)) as exc:
+            load_pnm(raw)
+        assert exc.value.offset == offset
 
     def test_comment_inside_p3_payload(self):
         img = load_pnm(b"P3 1 1 255 1 # two 2 3\n2\t#\n3 # end")

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -73,6 +74,24 @@ class TestRegisterFile:
         with pytest.raises(ValueError, match=f"num_classes must be >= 2, "
                                              f"got {count}"):
             ClassCenterFile.from_centers(centers)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ClassCenterFile(0, 2), "dims must be >= 1"),
+    (lambda: ClassCenterFile(1, 2, 8, [0, 256]),
+     "cell 1 value 256 exceeds 8-bit range"),
+    (lambda: ClassCenterFile(1, 2, names=["a"]),
+     "names length must equal num_classes"),
+    (lambda: ClassCenterFile(1, 2).center(2), "class index 2 out of range"),
+    (lambda: simulate_pipeline(PipelineModel(2, 2), ClassCenterFile(2, 2),
+                               [(1, 2), (1, 2, 3)]),
+     "schedule entry at cycle 1 has length 3, expected 2"),
+    (lambda: estimate_frame_rate(170e6, 0, 630), "dimensions must be positive"),
+], ids=["zero_dims", "cell_above_range", "names_length", "class_past_end",
+        "schedule_entry_length", "zero_width"])
+def test_error_message(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 class TestManhattanDistance:

@@ -91,7 +91,10 @@ def test_translating_a_sign_translates_its_bbox_and_centroid(placement):
     ({"skip_classes": {0, -1}}, "skip class -1 is not"),
     ({"rule": DetectionRule(target_class=4)},
      "target class 4 is not a class index in [0, 4)"),
-], ids=["skip_past_end", "negative_skip", "target_past_end"])
+    ({"centers": ClassCenterFile(3, 4)},
+     "pipeline needs 2-dimensional (Cb, Cr) centers"),
+], ids=["skip_past_end", "negative_skip", "target_past_end",
+        "three_dim_centers"])
 def test_config_refuses_class_indices_outside_the_center_file(kwargs, message):
     # the shipped center file has 4 classes
     with pytest.raises(ValueError, match=re.escape(message)):

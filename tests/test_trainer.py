@@ -215,6 +215,11 @@ class TestCentersToFile:
         assert res.support == [8, 8]
         assert res.modes == [(10, 10), (200, 200)]
 
+    def test_modes_and_support_must_pair_up(self):
+        with pytest.raises(ValueError,
+                           match="modes and support lengths differ"):
+            ClusterResult([(1, 2), (3, 4)], [1])
+
     def test_name_count_mismatch(self):
         with pytest.raises(ValueError):
             centers_to_file(ClusterResult([(1, 2)], [1]), ["a", "b"])
