@@ -151,11 +151,9 @@ def cmd_latency(args):
 
 def cmd_verify(args):
     results = verify_frame(_config_from(args), _load_frame(args.image))
-    ok = True
     for stage, match in results.items():
         print(f"{stage}: {'ok' if match else 'MISMATCH'}")
-        ok = ok and match
-    return 0 if ok else 1
+    return 0 if all(results.values()) else 1
 
 
 def cmd_synth(args):

@@ -7,31 +7,50 @@ hole of digits like zero. Ratio comparisons are exact rationals so
 components near the bounds never flip due to float rounding.
 """
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .image import ImageRGB
+from .image import ImageRGB, _quote
 
 ANNOTATION_COLOR = (0, 255, 0)
 
+# Fraction builds 10**exponent exactly, so its parse time grows with the
+# exponent; MAX_EXPONENT still admits every finite float's repr
+_DECIMAL = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE]([+-]?\d+))?")
+MAX_DECIMAL_CHARS, MAX_EXPONENT = 40, 400
 
-def _as_fraction(v):
+
+def _as_fraction(name, v):
     # via str() so a literal like 0.7 means exactly 7/10
-    return v if isinstance(v, Fraction) else Fraction(str(v))
+    if isinstance(v, Fraction):
+        return v
+    text = str(v)
+    m = _DECIMAL.fullmatch(text)
+    if (not m or len(text) > MAX_DECIMAL_CHARS
+            or abs(int(m[1] or 0)) > MAX_EXPONENT):
+        raise ValueError(f"{name} must be a finite decimal, "
+                         f"got {_quote(text)}")
+    return Fraction(text)
 
 
 @dataclass
 class DetectionRule:
+    """Which components are signs. A ratio bound given as anything but a
+    Fraction is read from its str(): a decimal such as 0.7 (exactly 7/10),
+    3 or 1e9, of at most 40 characters (MAX_DECIMAL_CHARS) and with a
+    decimal exponent of at most 400 in magnitude (MAX_EXPONENT), so it
+    parses in bounded time; nan, inf and other text are refused."""
     target_class: int = 1
     ratio_min: Fraction = Fraction(7, 10)
     ratio_max: Fraction = Fraction(3)
     area_min: int = 200
 
     def __post_init__(self):
-        self.ratio_min = _as_fraction(self.ratio_min)
-        self.ratio_max = _as_fraction(self.ratio_max)
+        self.ratio_min = _as_fraction("ratio_min", self.ratio_min)
+        self.ratio_max = _as_fraction("ratio_max", self.ratio_max)
         if not 0 < self.ratio_min < self.ratio_max:
             raise ValueError("need 0 < ratio_min < ratio_max")
         if self.area_min < 1:

@@ -8,14 +8,16 @@ agreement is verification rather than shared code agreeing with itself:
 - `stream_gaussian3x3` and `stream_median3x3`: the hardware-faithful
   filters, one window per pixel off `filters.stream_window` (two rows
   plus a 3x3 window register), against the whole-array numpy filters;
+- `scalar_classify_image`: the scalar `mdc.classify` once per distinct
+  (Cb, Cr) value, against the lookup table of `mdc.classify_image`;
 - `loop_converge`: mean shift one seed at a time, each step scanning every
   sample, against the trainer's batched steps over distinct chroma values.
 
-The classifier's references live in `mdc`: the scalar `classify`, one
-argmin per feature vector for any D, and `simulate_pipeline`, the cycle
-model's per-dimension accumulate and pairwise `<=` tree. Each checks the
-65,536-entry lookup table of `classify_image`, and the two check each
-other for any D.
+The classifier's per-vector references live in `mdc`: the scalar
+`classify`, one argmin per feature vector for any D, and
+`simulate_pipeline`, the cycle model's per-dimension accumulate and
+pairwise `<=` tree. Each checks the 65,536-entry lookup table of
+`classify_image`, and the two check each other for any D.
 """
 
 import numpy as np
@@ -23,6 +25,7 @@ import numpy as np
 from .ccl import ComponentFeatures
 from .filters import GAUSSIAN_DIVISOR, GAUSSIAN_KERNEL, stream_window
 from .image import ImageCbCr, ImageGray
+from .mdc import classify
 from .trainer import TOLERANCE
 
 
@@ -96,6 +99,17 @@ def stream_median3x3(labels: ImageGray) -> ImageGray:
     sorting each window."""
     out = _stream_filter_plane(labels.data, _median_cell)
     return ImageGray(labels.width, labels.height, out)
+
+
+def scalar_classify_image(centers, chroma: ImageCbCr) -> ImageGray:
+    """The scalar `mdc.classify` once per distinct 16-bit (Cb << 8) | Cr
+    key, the same contract as `mdc.classify_image`."""
+    keys, inverse = np.unique((chroma.data[:, :, 0].astype(np.intp) << 8)
+                              | chroma.data[:, :, 1], return_inverse=True)
+    labels = np.array([classify(centers, divmod(k, 256))
+                       for k in keys.tolist()])
+    return ImageGray(chroma.width, chroma.height,
+                     labels[inverse].reshape(chroma.height, chroma.width))
 
 
 def loop_converge(samples, config):

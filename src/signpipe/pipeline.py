@@ -2,9 +2,11 @@
 
 Mirrors the hardware chain: chroma conversion, optional Gaussian
 pre-filter, per-pixel classification, optional median post-filter,
-multi-class component labeling, and rule-based detection. The report
-carries the latency and frame-rate figures of the cycle model so a
-software run documents what the streaming design would deliver.
+multi-class component labeling, and rule-based detection. `_stages`
+is the one place where the chain order lives; `run_pipeline`,
+`ablation_stats` and `verify_frame` all walk it. The report carries
+the latency and frame-rate figures of the cycle model so a software
+run documents what the streaming design would deliver.
 """
 
 import math
@@ -19,7 +21,7 @@ from .detector import DetectionRule, annotate, detect
 from .filters import gaussian3x3, median3x3
 from .image import ImageGray, ImageRGB, rgb_to_cbcr
 from .mdc import (ClassCenterFile, PipelineModel, centers_from_json,
-                  classify, classify_image, estimate_frame_rate)
+                  classify_image, estimate_frame_rate)
 
 DEFAULT_CLOCK_MHZ = 170.0
 
@@ -93,19 +95,40 @@ class FrameArtifacts:
     annotated: ImageRGB
 
 
-def segment_frame(config: PipelineConfig, rgb: ImageRGB) -> ImageGray:
-    """Run the front half of the chain; returns the class image."""
-    chroma = rgb_to_cbcr(rgb)
-    if config.gaussian:
-        chroma = gaussian3x3(chroma)
-    seg = classify_image(config.centers, chroma)
-    return median3x3(seg) if config.median else seg
+def _stages(config: PipelineConfig):
+    """The chain in order, one (name, enabled, production, reference) per
+    stage. Built on each call, so the stage functions resolve when it runs."""
+    centers, skip = config.centers, config.skip_classes
+    return [
+        ("conversion", True, rgb_to_cbcr, None),
+        ("gaussian", config.gaussian, gaussian3x3, oracles.stream_gaussian3x3),
+        ("classify", True, lambda chroma: classify_image(centers, chroma),
+         lambda chroma: oracles.scalar_classify_image(centers, chroma)),
+        ("median", config.median, median3x3, oracles.stream_median3x3),
+        ("labeling", True, lambda seg: label_components(seg, skip),
+         lambda seg: oracles.flood_fill_label(seg, skip)),
+    ]
+
+
+def _run_stages(config: PipelineConfig, rgb: ImageRGB, checks=None):
+    """Run the enabled stages; returns (class image, labeling output).
+    With a `checks` dict, also records whether each stage matches its
+    reference, running a disabled filter on the input it would have
+    received and dropping its output."""
+    seg = value = rgb
+    for name, enabled, production, reference in _stages(config):
+        if enabled or checks is not None:
+            out = production(value)
+            if checks is not None and reference is not None:
+                checks[name] = out == reference(value)
+            if enabled:
+                seg, value = value, out
+    return seg, value
 
 
 def run_pipeline(config: PipelineConfig, rgb: ImageRGB, image_name=""):
     """Full chain on one frame; returns (FrameReport, FrameArtifacts)."""
-    seg = segment_frame(config, rgb)
-    components_img, components = label_components(seg, config.skip_classes)
+    seg, (components_img, components) = _run_stages(config, rgb)
     detections = detect(components, config.rule)
     annotated = annotate(rgb, detections)
 
@@ -125,10 +148,8 @@ def ablation_stats(config: PipelineConfig, rgb: ImageRGB):
     Returns (count_without, count_with, reduction_percent).
     """
     base = replace(config, gaussian=False, median=False)
-    without = len(label_components(segment_frame(base, rgb),
-                                   config.skip_classes)[1])
-    with_ = len(label_components(segment_frame(config, rgb),
-                                 config.skip_classes)[1])
+    without = len(_run_stages(base, rgb)[1][1])
+    with_ = len(_run_stages(config, rgb)[1][1])
     reduction = 100.0 * (without - with_) / without if without else 0.0
     return without, with_, reduction
 
@@ -157,30 +178,6 @@ def render_labels(labels: ImageGray, num_levels=None, color=False) -> ImageRGB:
 def verify_frame(config: PipelineConfig, rgb: ImageRGB):
     """Cross-check one frame's production stages against the references
     in `oracles`. Returns a dict of stage name -> bool (True = match)."""
-    chroma = rgb_to_cbcr(rgb)
     results = {}
-
-    smoothed = gaussian3x3(chroma)
-    results["gaussian"] = smoothed == oracles.stream_gaussian3x3(chroma)
-    if config.gaussian:
-        chroma = smoothed
-
-    seg = classify_image(config.centers, chroma)
-    # the scalar reference once per distinct 16-bit (Cb << 8) | Cr key
-    keys, inverse = np.unique((chroma.data[:, :, 0].astype(np.intp) << 8)
-                              | chroma.data[:, :, 1], return_inverse=True)
-    expected = np.array([classify(config.centers, divmod(k, 256))
-                         for k in keys.tolist()])
-    results["classify"] = bool(np.array_equal(
-        seg.data.reshape(-1), expected[inverse.reshape(-1)]))
-
-    filtered = median3x3(seg)
-    results["median"] = filtered == oracles.stream_median3x3(seg)
-    if config.median:
-        seg = filtered
-
-    got_img, got_feats = label_components(seg, config.skip_classes)
-    exp_img, exp_feats = oracles.flood_fill_label(seg, config.skip_classes)
-    results["labeling"] = bool(
-        np.array_equal(got_img.data, exp_img.data) and got_feats == exp_feats)
+    _run_stages(config, rgb, results)
     return results

@@ -219,41 +219,74 @@ def test_missing_file_exits(tmp_path):
         main(["detect", str(tmp_path / "nope.ppm")])
 
 
-@pytest.mark.parametrize("argv", [
-    ["detect", "{frame}", "--ratio-min", "abc"],
-    ["detect", "{frame}", "--ratio-min", "5"],
-    ["detect", "{frame}", "--skip-class", "9"],
-    ["detect", "{frame}", "--target-class", "9"],
-    ["detect", "{frame}", "--skip-class", "9", "--target-class", "9"],
-    ["segment", "{frame}", "--target-class", "-1"],
-    ["detect", "{frame}", "--centers", "{no_name}"],
-    ["detect", "{frame}", "--centers", "{tmp}/missing.json"],
-    ["detect", "{frame}", "--clock-mhz", "0"],
-    ["detect", "{frame}", "--clock-mhz", "inf", "--out-report", "{tmp}/r.json"],
-    ["ablate", "{frame}", "--clock-mhz", "inf"],
-    ["detect", "{frame}", "--out-report", "{tmp}/no/such/dir/r.json"],
-    ["train", "{frame}", "--bandwidth", "0"],
-    ["train", "{frame}", "--bandwidth", "nan"],
-    ["train", "{frame}", "--bandwidth", "inf"],
-    ["train", "{frame}", "--bandwidth", "2"],
-    ["latency", "--classes", "1"],
-    ["latency", "--clock-mhz", "nan"],
-    ["latency", "--clock-mhz", "inf"],
-    ["synth", "{tmp}/s.ppm", "--width", "0"],
-    ["verify", "{frame}", "--out-report", "{tmp}/r.json"],
-    ["ablate", "{frame}", "--out-seg", "{tmp}/s.ppm"],
-    ["detect", "{frame}", "--area-min", "abc"],
-    ["detect", "{frame}", "--no-such-flag"],
-    ["detect", "{tmp}/truncated.ppm"],
-    ["detect", "{frame}", "--centers", "{tmp}/deep.json"],
-    ["synth", "{tmp}/s.ppm", "--radius", "-5"],
-    ["synth", "{tmp}/s.ppm", "--ring", "-100"],
-    ["synth", "{tmp}/s.ppm", "--sigma", "nan"],
-    ["synth", "{tmp}/s.ppm", "--sigma", "-3"],
-    ["synth", "{tmp}/s.ppm", "--width", "4097"],
-    ["synth", "{tmp}/s.ppm", "--height", "4097"],
-    ["synth", "{tmp}/s.ppm", "--seed", "-1"],
-], ids=["ratio_not_a_number", "ratio_min_above_max", "skip_class_range",
+@pytest.mark.parametrize("argv, fragment", [
+    (["detect", "{frame}", "--ratio-min", "abc"],
+     "ratio_min must be a finite decimal, got 'abc'"),
+    (["detect", "{frame}", "--ratio-max", "nan"],
+     "ratio_max must be a finite decimal, got 'nan'"),
+    (["detect", "{frame}", "--ratio-max", "1e999999999"],
+     "ratio_max must be a finite decimal"),
+    (["detect", "{frame}", "--ratio-min", "5"],
+     "need 0 < ratio_min < ratio_max"),
+    (["detect", "{frame}", "--skip-class", "9"], "skip class 9 is not"),
+    (["detect", "{frame}", "--target-class", "9"], "target class 9 is not"),
+    (["detect", "{frame}", "--skip-class", "9", "--target-class", "9"],
+     "skip class 9 is not"),
+    (["segment", "{frame}", "--target-class", "-1"], "target class -1 is not"),
+    (["detect", "{frame}", "--centers", "{no_name}"],
+     'class 0 needs a "name"'),
+    (["detect", "{frame}", "--centers", "{tmp}/missing.json"],
+     "No such file or directory"),
+    (["detect", "{frame}", "--clock-mhz", "0"],
+     "clock_mhz must be finite and > 0, got 0.0"),
+    (["detect", "{frame}", "--clock-mhz", "inf",
+      "--out-report", "{tmp}/r.json"],
+     "clock_mhz must be finite and > 0, got inf"),
+    (["ablate", "{frame}", "--clock-mhz", "inf"],
+     "clock_mhz must be finite and > 0, got inf"),
+    (["detect", "{frame}", "--out-report", "{tmp}/no/such/dir/r.json"],
+     "No such file or directory"),
+    (["train", "{frame}", "--bandwidth", "0"],
+     "bandwidth must be finite and > 0, got 0.0"),
+    (["train", "{frame}", "--bandwidth", "nan"],
+     "bandwidth must be finite and > 0, got nan"),
+    (["train", "{frame}", "--bandwidth", "inf"],
+     "bandwidth must be finite and > 0, got inf"),
+    (["train", "{frame}", "--bandwidth", "2"],
+     "num_classes must be >= 2, got 1"),
+    (["latency", "--classes", "1"], "num_classes must be >= 2, got 1"),
+    (["latency", "--clock-mhz", "nan"],
+     "frequency must be finite and > 0, got nan"),
+    (["latency", "--clock-mhz", "inf"],
+     "frequency must be finite and > 0, got inf"),
+    (["synth", "{tmp}/s.ppm", "--width", "0"],
+     "image dimensions must be >= 1, got 0x200"),
+    (["verify", "{frame}", "--out-report", "{tmp}/r.json"],
+     "unrecognized arguments: --out-report"),
+    (["ablate", "{frame}", "--out-seg", "{tmp}/s.ppm"],
+     "unrecognized arguments: --out-seg"),
+    (["detect", "{frame}", "--area-min", "abc"],
+     "argument --area-min: invalid int value: 'abc'"),
+    (["detect", "{frame}", "--no-such-flag"],
+     "unrecognized arguments: --no-such-flag"),
+    (["detect", "{tmp}/truncated.ppm"], "truncated payload"),
+    (["detect", "{frame}", "--centers", "{tmp}/deep.json"],
+     "center file is nested too deeply"),
+    (["synth", "{tmp}/s.ppm", "--radius", "-5"],
+     "radius and ring must be >= 0, got -5 and 10"),
+    (["synth", "{tmp}/s.ppm", "--ring", "-100"],
+     "radius and ring must be >= 0, got 30 and -100"),
+    (["synth", "{tmp}/s.ppm", "--sigma", "nan"],
+     "sigma must be finite and >= 0, got nan"),
+    (["synth", "{tmp}/s.ppm", "--sigma", "-3"],
+     "sigma must be finite and >= 0, got -3.0"),
+    (["synth", "{tmp}/s.ppm", "--width", "4097"],
+     "sides must be <= 4096, got 4097x200"),
+    (["synth", "{tmp}/s.ppm", "--height", "4097"],
+     "sides must be <= 4096, got 200x4097"),
+    (["synth", "{tmp}/s.ppm", "--seed", "-1"], "seed must be >= 0, got -1"),
+], ids=["ratio_not_a_number", "ratio_nan", "ratio_huge_exponent",
+        "ratio_min_above_max", "skip_class_range",
         "target_class_range", "both_class_flags", "negative_target",
         "center_without_name", "missing_center_file", "zero_clock",
         "infinite_clock", "infinite_clock_ablate", "unwritable_output",
@@ -264,7 +297,7 @@ def test_missing_file_exits(tmp_path):
         "truncated_frame", "deeply_nested_centers", "negative_radius",
         "negative_ring", "nan_sigma", "negative_sigma", "width_above_bound",
         "height_above_bound", "negative_seed"])
-def test_bad_input_exits_with_one_line(argv, frame_path, tmp_path):
+def test_bad_input_exits_with_one_line(argv, fragment, frame_path, tmp_path):
     no_name = tmp_path / "no_name.json"
     no_name.write_text('{"classes": [{"center": [127, 128]},'
                        ' {"name": "yellow", "center": [88, 151]}]}')
@@ -278,18 +311,20 @@ def test_bad_input_exits_with_one_line(argv, frame_path, tmp_path):
     message = exc.value.code
     assert isinstance(message, str) and message.startswith("signpipe: ")
     assert "\n" not in message
+    # the case's own message, not a library's leaking through
+    assert fragment in message
 
 
-def _python(*args):
+def _python(*args, timeout=None):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(__file__).resolve().parents[1] / "src"),
          os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run([sys.executable, *args],
-                          capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=timeout)
 
 
-def _run_cli(*argv):
-    return _python("-m", "signpipe.cli", *argv)
+def _run_cli(*argv, timeout=None):
+    return _python("-m", "signpipe.cli", *argv, timeout=timeout)
 
 
 def test_runtime_imports_are_numpy_and_the_standard_library():
@@ -320,3 +355,14 @@ def test_usage_error_in_subprocess(frame_path):
     assert proc.stdout == ""
     assert proc.stderr.splitlines() == [
         "signpipe: argument --area-min: invalid int value: 'abc'"]
+
+
+def test_huge_ratio_exponent_fails_fast_in_subprocess(frame_path):
+    # Fraction("1e999999999") would build 10**999999999; the timeout turns
+    # a regression into a failure instead of a hang
+    proc = _run_cli("detect", str(frame_path), "--ratio-max", "1e999999999",
+                    timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "signpipe: ratio_max must be a finite decimal, got '1e999999999'"]

@@ -16,9 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from signpipe.detector import DetectionRule
-from signpipe.image import ImageRGB, cbcr_to_rgb
-from signpipe.mdc import ClassCenterFile
+from signpipe.ccl import label_components
+from signpipe.detector import DetectionRule, detect
+from signpipe.filters import gaussian3x3, median3x3
+from signpipe.image import ImageRGB, cbcr_to_rgb, rgb_to_cbcr
+from signpipe.mdc import ClassCenterFile, classify_image
 from signpipe.pipeline import PipelineConfig, run_pipeline, verify_frame
 from signpipe.synthetic import (BACKGROUND_CHROMA, RED_CHROMA, YELLOW_CHROMA,
                                 chroma_constant, disc_frame, paint_disc)
@@ -48,6 +50,28 @@ def test_transposing_the_frame_transposes_every_component(seed, filters):
                   c.max_y, c.sum_x, c.sum_y)
                  for c in features(transposed(rgb), config))
     assert len(got) >= (2 if filters else 50) and got == expected
+
+
+@pytest.mark.parametrize("median", [True, False], ids=["median", "no_median"])
+@pytest.mark.parametrize("gaussian", [True, False],
+                         ids=["gaussian", "no_gaussian"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_run_pipeline_matches_the_chain_written_out(seed, gaussian, median):
+    # the chain composed by hand, leaving out the filters that are off
+    config = PipelineConfig(gaussian=gaussian, median=median)
+    rgb = disc_frame(96, 80, 18, 6, sigma=8, seed=seed)
+    chroma = rgb_to_cbcr(rgb)
+    if gaussian:
+        chroma = gaussian3x3(chroma)
+    seg = classify_image(config.centers, chroma)
+    if median:
+        seg = median3x3(seg)
+    labels, components = label_components(seg, config.skip_classes)
+
+    report, artifacts = run_pipeline(config, rgb)
+    assert artifacts.seg == seg and artifacts.components_img == labels
+    assert report.components == components
+    assert report.detections == detect(components, config.rule)
 
 
 def sign_frame(cx, cy, radius, ring, width=48, height=40):
@@ -120,4 +144,7 @@ def verify_cases(draw):
 @settings(max_examples=60, deadline=None)
 def test_verify_frame_agrees_on_random_small_frames(case):
     config, rgb = case
-    assert all(verify_frame(config, rgb).values())
+    result = verify_frame(config, rgb)
+    # a filter that is off is still checked
+    assert list(result) == ["gaussian", "classify", "median", "labeling"]
+    assert all(result.values())
