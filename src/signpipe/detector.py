@@ -27,7 +27,10 @@ def _as_fraction(name, v):
     # via str() so a literal like 0.7 means exactly 7/10
     if isinstance(v, Fraction):
         return v
-    text = str(v)
+    try:
+        text = str(v)
+    except ValueError:  # an int past Python's str() limit of 4300 digits
+        text = f"<{type(v).__name__} too long>"
     m = _DECIMAL.fullmatch(text)
     if (not m or len(text) > MAX_DECIMAL_CHARS
             or abs(int(m[1] or 0)) > MAX_EXPONENT):

@@ -1,11 +1,13 @@
 """Image containers, PPM (P3/P6) file I/O, and RGB to CbCr conversion.
 
 PPM has one grammar, the pattern `_TOKEN`: a token is a run of
-non-whitespace bytes after any whitespace and `#` line comments. All
-pixel data lives in numpy arrays. RGB images are (height, width, 3)
-uint8, chroma images are (height, width, 2) uint8 holding (Cb, Cr), and
-gray images are (height, width) int32 so they can hold class indices or
-component ids beyond 255.
+non-whitespace bytes after any whitespace and `#` line comments. A P3
+payload is read two ways: `_p3_samples` reads the common case, digits
+and whitespace only, in one whole-array pass, and hands anything else to
+the `_TOKEN` scan, which alone raises. All pixel data lives in numpy
+arrays. RGB images are (height, width, 3) uint8, chroma images are
+(height, width, 2) uint8 holding (Cb, Cr), and gray images are (height,
+width) int32 so they can hold class indices or component ids beyond 255.
 """
 
 import functools
@@ -82,6 +84,38 @@ def _quote(tok, show=repr):
 # empty token means end of data, and a '#' inside a token belongs to it
 _TOKEN = re.compile(rb"(?:\s|#[^\n]*)*(\S*)")
 
+# the P3 payload's bytes in `bytes.translate` form: a digit's value, else
+# _SPACE for exactly the bytes \s matches, else _OTHER
+_SPACE, _OTHER = 10, 11
+_P3_BYTES = bytes(b - 48 if 48 <= b <= 57 else _SPACE if bytes([b]).isspace()
+                  else _OTHER for b in range(256))
+
+
+def _p3_samples(raw, pos, n):
+    """The P3 payload raw[pos:], 2n - 1 bytes or more, as n uint8 samples
+    read whole-array; None unless it is whitespace and n numbers of 1 to 3
+    digits up to 255, and then the `_TOKEN` scan reads it and alone raises.
+    Temporaries are uint8 and uint16, about 7 B per payload byte at most."""
+    c = np.frombuffer(bytes(raw).translate(_P3_BYTES), np.uint8)[pos:]
+    if c.max() == _OTHER:
+        return None
+    d = c < _SPACE
+    if (d[:-3] & d[1:-2] & d[2:-1] & d[3:]).any():    # 4 digits in a row
+        return None
+    # the number ending at each byte, from the place weights of the digit
+    # there and of the one or two digits before it in the same run
+    x = c * d
+    v = x.astype(np.uint16)
+    v[1:] += x[:-1] * 10
+    x[:-2] *= d[1:-1]           # no hundreds without a tens digit
+    v[2:] += x[:-2] * np.uint16(100)
+    end = d.copy()              # a digit with no digit after it
+    end[:-1] &= ~d[1:]
+    if np.count_nonzero(end) != n:
+        return None
+    samples = v[end]
+    return samples.astype(np.uint8) if samples.max() <= 255 else None
+
 
 def load_pnm(raw: bytes) -> ImageRGB:
     """Decode a PPM image (binary P6 or plain P3, maxval 255)."""
@@ -126,13 +160,13 @@ def load_pnm(raw: bytes) -> ImageRGB:
             raise PnmError(f"truncated payload, expected {n} bytes, "
                            f"got {len(payload)}", pos + 1 + len(payload))
         data = np.frombuffer(payload, dtype=np.uint8)
-    else:
-        # every sample but the last needs a digit and a separator, so a
-        # header promising more than the payload can hold fails here,
-        # before anything is allocated
-        if len(raw) - pos < 2 * n - 1:
-            raise PnmError(f"truncated payload, {len(raw) - pos} bytes cannot "
-                           f"hold {n} samples", pos)
+    # every sample but the last needs a digit and a separator, so a header
+    # promising more than the payload can hold fails here, before anything
+    # is allocated
+    elif len(raw) - pos < 2 * n - 1:
+        raise PnmError(f"truncated payload, {len(raw) - pos} bytes cannot "
+                       f"hold {n} samples", pos)
+    elif (data := _p3_samples(raw, pos, n)) is None:
         data = np.empty(n, dtype=np.uint8)
         for i, m in zip(range(n), tokens):
             v = _decimal(m[1])

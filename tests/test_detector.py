@@ -68,6 +68,11 @@ class TestDetect:
         assert set(d.component_id for d in narrow) <= set(
             d.component_id for d in wide)
 
+    def test_int_too_long_for_str_is_refused_as_a_decimal(self):
+        with pytest.raises(ValueError, match="^ratio_max must be a finite "
+                           "decimal, got '<int too long>'"):
+            DetectionRule(ratio_max=10 ** 5000)
+
     def test_rule_invariants(self):
         with pytest.raises(ValueError):
             DetectionRule(ratio_min=3, ratio_max=0.7)

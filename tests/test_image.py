@@ -1,11 +1,15 @@
+import itertools
 import re
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from signpipe.image import (ImageCbCr, ImageGray, ImageRGB, PnmError,
+from signpipe import image
+from signpipe.image import (_TOKEN, ImageCbCr, ImageGray, ImageRGB, PnmError,
                             cbcr_to_rgb, load_pnm, rgb_to_cbcr, save_pnm)
 
 
@@ -168,6 +172,119 @@ class TestLoadPnm:
             load_pnm(raw)
         except PnmError:
             pass
+
+
+def scan(raw):
+    """load_pnm's samples with every payload handed to the `_TOKEN` scan."""
+    with mock.patch.object(image, "_p3_samples", lambda raw, pos, n: None):
+        return load_pnm(raw).data.reshape(-1)
+
+
+def fast(raw):
+    """The whole-array reader's samples for the payload after raw's header."""
+    _, width, height, maxval = itertools.islice(_TOKEN.finditer(raw), 4)
+    n = int(width[1]) * int(height[1]) * 3
+    return image._p3_samples(raw, maxval.end(), n)
+
+
+@st.composite
+def p3_payloads(draw):
+    """A valid P3 header, then arbitrary bytes, P3-like fragments, or about
+    as many numbers as the header asks for, most of them valid samples,
+    between runs of whitespace that may be empty."""
+    width, height = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    n = width * height * 3
+    number = st.sampled_from([b"0", b"7", b"25", b"99", b"100", b"255",
+                              b"007", b"256", b"999", b"0255"])
+    space = st.sampled_from([b" ", b"\n", b"\r\n", b"\t", b"\x0b\x0c", b""])
+    numbers = st.lists(st.tuples(number, space).map(b"".join),
+                       min_size=n - 1, max_size=n + 1).map(b"".join)
+    payload = draw(st.binary(max_size=64) | pnm_like() | numbers)
+    return b"P3 %d %d 255 %s" % (width, height, payload)
+
+
+def p3_encodings():
+    """`p3_with_separators` encodings, half of them with comments cut out."""
+    return st.tuples(p3_with_separators(), st.booleans()).map(
+        lambda c: re.sub(rb"#[^\n]*", b"", c[0][1]) if c[1] else c[0][1])
+
+
+class TestP3Reader:
+    """`_p3_samples` against the `_TOKEN` scan that it hands anomalies to."""
+
+    @given(p3_payloads() | p3_encodings())
+    @settings(max_examples=150,
+              phases=[p for p in Phase if p is not Phase.explain])
+    def test_fast_reader_agrees_with_the_scan(self, raw):
+        samples = fast(raw)
+        try:
+            expected = scan(raw)
+        except PnmError:
+            assert samples is None
+        else:
+            assert samples is None or np.array_equal(samples, expected)
+
+    def test_reads_a_payload_of_digits_and_whitespace(self):
+        raw = b"P3 2 1 255\r\n0 10 255\t9\x0b099\x0c100 \n"
+        assert fast(raw).tolist() == [0, 10, 255, 9, 99, 100]
+        assert load_pnm(raw).data.reshape(-1).tolist() == [0, 10, 255, 9,
+                                                             99, 100]
+        assert load_pnm(memoryview(raw)) == load_pnm(raw)
+
+    @pytest.mark.parametrize("raw,samples", [
+        (b"P3 1 1 255 0255 0000 7", [255, 0, 7]),
+        (b"P3 1 1 255 1 2 3 junk", [1, 2, 3]),
+        (b"P3 1 1 255 1 2 3 # end", [1, 2, 3]),
+        (b"P3 1 1 255 1 2 3 4 5", [1, 2, 3]),
+        (b"P3 1 1 255 1 # two\n2 3", [1, 2, 3]),
+    ], ids=["four_digits", "trailing_junk", "trailing_comment",
+            "extra_samples", "hash_mid_payload"])
+    def test_hand_over_keeps_what_the_scan_accepts(self, raw, samples):
+        assert fast(raw) is None
+        assert load_pnm(raw).data.reshape(-1).tolist() == samples
+
+    @pytest.mark.parametrize("raw,message,offset", [
+        (b"P3 1 1 255 1 256 3", "sample 256 out of range [0, 255]", 13),
+        (b"P3 1 1 255 1 2#3 3", "invalid sample b'2#3'", 13),
+        (b"P3 2 1 255\n1 2 3 4 56",
+         "truncated payload, sample 5 of 6 is missing", 21),
+    ], ids=["sample_above_255", "hash_in_sample", "one_sample_short"])
+    def test_hand_over_keeps_the_scan_errors(self, raw, message, offset):
+        assert fast(raw) is None
+        with pytest.raises(PnmError, match=re.escape(message)) as exc:
+            load_pnm(raw)
+        assert exc.value.offset == offset
+
+    def test_byte_table_is_the_grammar(self):
+        # a byte is whitespace to `_TOKEN` when a token after it starts
+        # right past it ('#' starts a comment and swallows the token)
+        spaces = {b for b in range(256)
+                  if _TOKEN.match(bytes([b]) + b"1")[1] == b"1"}
+        assert spaces == {9, 10, 11, 12, 13, 32}
+        kinds = {b: image._P3_BYTES[b] for b in range(256)}
+        assert {b for b, k in kinds.items() if k == image._SPACE} == spaces
+        assert {b: k for b, k in kinds.items() if k < 10} == {
+            ord(str(k)): k for k in range(10)}
+        assert set(kinds.values()) == set(range(10)) | {image._SPACE,
+                                                         image._OTHER}
+
+    def test_peak_memory_per_payload_byte(self):
+        rng = np.random.default_rng(0)
+        img = ImageRGB(640, 480, rng.integers(0, 256, (480, 640, 3),
+                                              dtype=np.uint8))
+        header = b"P3\n640 480\n255\n"
+        lines = img.data.reshape(-1, 15).tolist()
+        raw = header + b"\n".join(b" ".join(b"%d" % v for v in line)
+                                  for line in lines) + b"\n"
+        assert np.array_equal(fast(raw), img.data.reshape(-1))
+        tracemalloc.start()
+        try:
+            out = load_pnm(raw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out == img
+        assert peak <= 10 * (len(raw) - len(header))
 
 
 class TestSavePnm:
