@@ -153,7 +153,7 @@ def load_pnm(raw: bytes) -> ImageRGB:
     pos = mm.end()
     if magic == b"P6":
         # exactly one whitespace byte separates the header from the payload
-        if not raw[pos:pos + 1].isspace():
+        if not bytes(raw[pos:pos + 1]).isspace():
             raise PnmError("missing whitespace after maxval", pos)
         payload = raw[pos + 1:pos + 1 + n]
         if len(payload) < n:

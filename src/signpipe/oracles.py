@@ -11,7 +11,10 @@ agreement is verification rather than shared code agreeing with itself:
 - `scalar_classify_image`: the scalar `mdc.classify` once per distinct
   (Cb, Cr) value, against the lookup table of `mdc.classify_image`;
 - `loop_converge`: mean shift one seed at a time, each step scanning every
-  sample, against the trainer's batched steps over distinct chroma values.
+  sample, against the trainer's batched steps over distinct chroma values;
+- `loop_merge_modes`: the greedy merge over numpy rows, one `np.hypot`
+  array call per (point, mode) pair, against `trainer.merge_modes` over
+  Python floats with its squared-distance band.
 
 The classifier's per-vector references live in `mdc`: the scalar
 `classify`, one argmin per feature vector for any D, and
@@ -26,7 +29,7 @@ from .ccl import ComponentFeatures
 from .filters import GAUSSIAN_DIVISOR, GAUSSIAN_KERNEL, stream_window
 from .image import ImageCbCr, ImageGray
 from .mdc import classify
-from .trainer import TOLERANCE
+from .trainer import TOLERANCE, ClusterResult
 
 
 def flood_fill_label(seg: ImageGray, skip=frozenset()):
@@ -133,3 +136,25 @@ def loop_converge(samples, config):
                 break
         converged[i] = y
     return converged
+
+
+def loop_merge_modes(converged, merge_radius):
+    """Greedy merge of convergence points over numpy rows, the same
+    contract as `trainer.merge_modes`."""
+    modes = []    # normalized running means
+    support = []
+    for y in converged:
+        for k, m in enumerate(modes):
+            if np.hypot(*(y - m)) <= merge_radius:
+                modes[k] = (m * support[k] + y) / (support[k] + 1)
+                support[k] += 1
+                break
+        else:
+            modes.append(y.copy())
+            support.append(1)
+
+    order = sorted(range(len(modes)),
+                   key=lambda k: (-support[k], modes[k][0], modes[k][1]))
+    out_modes = [tuple(int(np.floor(v * 255.0 + 0.5)) for v in modes[k])
+                 for k in order]
+    return ClusterResult(out_modes, [support[k] for k in order])

@@ -12,7 +12,9 @@ seed's path depends only on its value. `converge` therefore works in two
 phases:
 
 1. Every distinct seed value steps at once against the distinct sample
-   values, a block of seeds at a time. The neighborhood sums are a
+   values, a block of seeds at a time. Seeds that reach the same point
+   take the same path from then on, so each step is taken once per
+   distinct point and mapped back to its seeds. The neighborhood sums are a
    float64 product of the 0/1 mask with (count, count*Cb, count*Cr);
    these are integers below 2**53, so the sums are exact. The distance
    and the stop test are the per-seed loop's own expressions. Each seed
@@ -31,11 +33,16 @@ path another way. `oracles.loop_converge` is the per-seed loop, kept as
 the reference.
 
 The merge is greedy and order-dependent; it runs over the seeds in
-sample order. The algorithm is deterministic for a fixed sample order
-and seed stride.
+sample order. It works on Python floats with numpy's own operations for
+the running means, and it decides "within the radius" from the squared
+distance except within a relative 1e-9 of the radius squared, where it
+calls `np.hypot` as `oracles.loop_merge_modes` does, since `d2 <= r*r`
+and `np.hypot` can decide apart there by a last bit. The algorithm is
+deterministic for a fixed sample order and seed stride.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,12 +109,11 @@ def converge(samples, config: MeanShiftConfig) -> np.ndarray:
     pts = pts / 255.0    # a new array: samples may be the caller's
     ends = {}
     final = starts       # each start is replaced by its step's end
-    for i, packed in enumerate(inside):
-        if not packed.any():
-            continue     # an empty neighborhood leaves the point put
-        key = packed.tobytes()
+    # an empty neighborhood leaves the point put
+    for i in np.flatnonzero(inside.any(axis=1)):
+        key = inside[i].tobytes()
         if key not in ends:
-            hit = np.unpackbits(packed, count=len(values)).view(bool)
+            hit = np.unpackbits(inside[i], count=len(values)).view(bool)
             ends[key] = pts[hit[sample_value]].mean(axis=0)
         final[i] = ends[key]
     return final[seed_slot]
@@ -141,7 +147,12 @@ def _last_steps(seeds, values, weights, config):
     for lo in range(0, len(seeds), rows):
         active = np.arange(lo, min(lo + rows, len(seeds)))
         for step in range(config.max_iterations):
-            p = y[active]
+            # seeds at the same point take the same step: take it once.
+            # Each (cb, cr) row is one complex value to np.unique, which
+            # sorts and compares it as the pair, 6x faster than axis=0
+            p, inv = np.unique(y[active].view(np.complex128).reshape(-1),
+                               return_inverse=True)
+            p = p.view(np.float64).reshape(-1, 2)
             # the same float operations as the loop's distance, so the
             # same values fall inside the radius
             d2, dcr = buf[0, :len(p)], buf[1, :len(p)]
@@ -156,10 +167,13 @@ def _last_steps(seeds, values, weights, config):
             last = shift < TOLERANCE
             if step == config.max_iterations - 1:
                 last[:] = True
-            starts[active[last]] = p[last]
-            inside[active[last]] = np.packbits(d2[last] != 0, axis=1)
-            y[active] = new
-            active = active[~last]
+            done = last[inv]
+            at = inv[done]                     # each stopping seed's point
+            starts[active[done]] = p[at]
+            inside[active[done]] = np.packbits(d2[last] != 0, axis=1)[
+                np.cumsum(last)[at] - 1]
+            y[active] = new[inv]
+            active = active[~done]
             if not len(active):
                 break
     return starts, inside
@@ -169,21 +183,29 @@ def merge_modes(converged, merge_radius) -> ClusterResult:
     """Greedy merge of convergence points within the merge radius, in
     seed order, support-weighted so dense basins dominate the mode
     position."""
-    modes = []    # normalized running means
+    modes = []    # normalized running means, (cb, cr) float pairs
     support = []
-    for y in converged:
-        for k, m in enumerate(modes):
-            if np.hypot(*(y - m)) <= merge_radius:
-                modes[k] = (m * support[k] + y) / (support[k] + 1)
-                support[k] += 1
+    # the squared distance settles the radius test outside this band;
+    # inside it np.hypot decides, as the reference does (and always when
+    # the radius squared is subnormal, so too coarse to band)
+    r2 = merge_radius * merge_radius
+    near, far = ((r2 * (1 - 1e-9), r2 * (1 + 1e-9)) if r2 >= sys.float_info.min
+                 else (-1.0, math.inf))
+    for y0, y1 in np.asarray(converged).tolist():
+        for k, (m0, m1) in enumerate(modes):
+            dx, dy = y0 - m0, y1 - m1
+            d2 = dx * dx + dy * dy
+            if d2 <= near or (d2 <= far and np.hypot(dx, dy) <= merge_radius):
+                s = support[k]
+                modes[k] = ((m0 * s + y0) / (s + 1), (m1 * s + y1) / (s + 1))
+                support[k] = s + 1
                 break
         else:
-            modes.append(y.copy())
+            modes.append((y0, y1))
             support.append(1)
 
-    order = sorted(range(len(modes)),
-                   key=lambda k: (-support[k], modes[k][0], modes[k][1]))
-    out_modes = [tuple(int(np.floor(v * 255.0 + 0.5)) for v in modes[k])
+    order = sorted(range(len(modes)), key=lambda k: (-support[k], modes[k]))
+    out_modes = [tuple(math.floor(v * 255.0 + 0.5) for v in modes[k])
                  for k in order]
     return ClusterResult(out_modes, [support[k] for k in order])
 

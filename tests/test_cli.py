@@ -339,6 +339,12 @@ def test_runtime_imports_are_numpy_and_the_standard_library():
     assert added - sys.stdlib_module_names - {"numpy", "signpipe"} == set()
 
 
+def test_runs_as_python_dash_m_signpipe():
+    proc = _python("-m", "signpipe", "latency", "--dims", "2", "--classes", "4")
+    assert proc.returncode == 0, proc.stderr
+    assert "latency: 8 cycles" in proc.stdout
+
+
 def test_bad_flag_in_subprocess(frame_path):
     proc = _run_cli("detect", str(frame_path),
                     "--skip-class", "9", "--target-class", "9")

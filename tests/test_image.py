@@ -79,6 +79,16 @@ class TestLoadPnm:
         img = load_pnm(raw)
         assert tuple(img.data[0, 0]) == (1, 2, 3)
 
+    @pytest.mark.parametrize("raw", [
+        b"P6 2 1 255\n" + bytes([255, 0, 7, 32, 10, 255]),
+        b"P3\n2 1\n255\n255 0 7  32 10 255\n",
+    ], ids=["P6", "P3"])
+    @pytest.mark.parametrize("buffer", [bytearray, memoryview])
+    def test_any_bytes_like_buffer(self, raw, buffer):
+        assert load_pnm(buffer(raw)) == load_pnm(raw)
+        assert load_pnm(raw).data.reshape(-1).tolist() == [255, 0, 7,
+                                                            32, 10, 255]
+
     def test_zero_width_rejected(self):
         with pytest.raises(PnmError):
             load_pnm(b"P6 0 5 255\n")

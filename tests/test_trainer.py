@@ -1,3 +1,4 @@
+import itertools
 import json
 import tracemalloc
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from signpipe import trainer
 from signpipe.image import rgb_to_cbcr
 from signpipe.mdc import centers_from_json, centers_to_json, ClassCenterFile
-from signpipe.oracles import loop_converge
+from signpipe.oracles import loop_converge, loop_merge_modes
 from signpipe.synthetic import disc_frame
 from signpipe.trainer import (ClusterResult, MeanShiftConfig, centers_to_file,
                               converge, mean_shift, merge_modes)
@@ -169,7 +170,8 @@ class TestAgainstLoopReference:
         cfg = MeanShiftConfig(bandwidth=bandwidth, seed_stride=stride,
                               max_iterations=max_iterations)
         got = mean_shift(samples, cfg)
-        want = merge_modes(loop_converge(samples, cfg), cfg.bandwidth / 2)
+        want = loop_merge_modes(loop_converge(samples, cfg),
+                                cfg.bandwidth / 2)
         assert got.modes == want.modes
         assert got.support == want.support
 
@@ -181,6 +183,35 @@ class TestAgainstLoopReference:
         monkeypatch.setattr(trainer, "_BLOCK", rows * distinct)
         assert np.array_equal(converge(samples, cfg),
                               loop_converge(samples, cfg))
+
+    @pytest.mark.parametrize("bandwidth", [3 / 255, 0.05, 0.2, 0.4])
+    def test_merge_at_the_radius(self, bandwidth):
+        # points at the merge radius from a mode, in drawn directions, and
+        # one ulp either way on each axis: here the squared distance and
+        # np.hypot can decide apart, and the merge must decide as np.hypot
+        radius = bandwidth / 2
+        rng = np.random.default_rng(11)
+        modes = rng.uniform(0.2, 0.8, (400, 2))
+        angle = rng.uniform(0, 2 * np.pi, 400)
+        points = modes + radius * np.column_stack([np.cos(angle),
+                                                   np.sin(angle)])
+        merged = 0
+        for m, y in zip(modes, points):
+            for y0, y1 in itertools.product(*[
+                    (np.nextafter(v, -1.0), v, np.nextafter(v, 2.0))
+                    for v in y]):
+                converged = np.array([m, (y0, y1)])
+                got = merge_modes(converged, radius)
+                assert got == loop_merge_modes(converged, radius)
+                merged += got.support == [2]
+        assert 0 < merged < 400 * 9    # both answers occur
+
+    def test_merge_with_a_subnormal_radius_squared(self):
+        # 3.1e-162 and 3e-162 both square to 1e-323, two subnormal units
+        converged = np.array([[0.0, 0.0], [3.1e-162, 0.0]])
+        got = merge_modes(converged, 3e-162)
+        assert got == loop_merge_modes(converged, 3e-162)
+        assert got.support == [1, 1]
 
 
 class TestCentersToFile:
