@@ -208,7 +208,11 @@ def estimate_frame_rate(frequency_hz, width, height):
         raise ValueError(f"frequency must be finite and > 0, got {frequency_hz}")
     if width <= 0 or height <= 0:
         raise ValueError("dimensions must be positive")
-    return frequency_hz / (width * height)
+    try:
+        return frequency_hz / (width * height)
+    except OverflowError:
+        # a pixel count past the float range
+        raise ValueError(f"frame size {width}x{height} is too large") from None
 
 
 # --- JSON center-file format --------------------------------------------

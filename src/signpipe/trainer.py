@@ -8,29 +8,25 @@ normalized to [0, 1] before the bandwidth applies, so the bandwidth is
 dimensionless.
 
 Chroma is 8-bit, so a frame holds few distinct (Cb, Cr) values, and a
-seed's path depends only on its value. `converge` therefore works in two
-phases:
-
-1. Every distinct seed value steps at once against the distinct sample
-   values, a block of seeds at a time. Seeds that reach the same point
-   take the same path from then on, so each step is taken once per
-   distinct point and mapped back to its seeds. The neighborhood sums are a
-   float64 product of the 0/1 mask with (count, count*Cb, count*Cr);
-   these are integers below 2**53, so the sums are exact. The distance
-   and the stop test are the per-seed loop's own expressions. Each seed
-   keeps the point its last step starts from.
-2. From each distinct such point the last step is taken again over the
-   original samples, as the per-seed loop takes it: the mean of the
-   samples within the bandwidth, summed in sample order.
+seed's path depends only on its value. `converge` therefore steps every
+distinct seed value at once against the distinct sample values, a block
+of seeds at a time. Seeds that reach the same point take the same path
+from then on, so each step is taken once per distinct point and mapped
+back to its seeds. The neighborhood sums are a float64 product of the
+0/1 mask with (count, count*Cb, count*Cr); these are integers below
+2**53, so the sums are exact. The distance and the stop test are the
+per-seed loop's own expressions. As a point stops, its last step is
+taken again over the original samples, as the per-seed loop takes it:
+the mean of the samples within the bandwidth, summed in sample order.
 
 A flat kernel's step depends only on which samples fall inside the
-radius. Phase 1's points differ from the per-seed loop's only by the
+radius. The stepped points differ from the per-seed loop's only by the
 rounding of the sums, so both select the same samples at every step and
-stop at the same step, and phase 2 returns the loop's convergence points
-bit for bit. The exception is a sample within that rounding of the
-radius, or a shift within it of the tolerance, which can send a phase-1
-path another way. `oracles.loop_converge` is the per-seed loop, kept as
-the reference.
+stop at the same step, and the last step taken again returns the loop's
+convergence points bit for bit. The exception is a sample within that
+rounding of the radius, or a shift within it of the tolerance, which can
+send a stepped path another way. `oracles.loop_converge` is the per-seed
+loop, kept as the reference.
 
 The merge is greedy and order-dependent; it runs over the seeds in
 sample order. It works on Python floats with numpy's own operations for
@@ -102,46 +98,14 @@ def converge(samples, config: MeanShiftConfig) -> np.ndarray:
     values, sample_value = _distinct(keys)
     seeds, seed_slot = _distinct(keys[::config.seed_stride])
     counts = np.bincount(sample_value, minlength=len(values))
-    starts, inside = _last_steps(seeds, values, counts, config)
-
-    # phase 2: each last step again, over the samples in sample order,
-    # once per distinct neighborhood, which is all the step depends on
     pts = pts / 255.0    # a new array: samples may be the caller's
-    ends = {}
-    final = starts       # each start is replaced by its step's end
-    # an empty neighborhood leaves the point put
-    for i in np.flatnonzero(inside.any(axis=1)):
-        key = inside[i].tobytes()
-        if key not in ends:
-            hit = np.unpackbits(inside[i], count=len(values)).view(bool)
-            ends[key] = pts[hit[sample_value]].mean(axis=0)
-        final[i] = ends[key]
-    return final[seed_slot]
-
-
-def _distinct(keys):
-    """The distinct keys, ascending, and each key's index among them."""
-    present = np.zeros(1 << 16, dtype=bool)
-    present[keys] = True
-    values = np.flatnonzero(present)
-    rank = np.empty(1 << 16, dtype=np.intp)
-    rank[values] = np.arange(len(values))
-    return values, rank[keys]
-
-
-def _last_steps(seeds, values, weights, config):
-    """Phase 1: step the distinct seed keys against the distinct sample
-    keys `values`, weighted by their counts. Returns, per seed, the point
-    its last step starts from and that step's neighborhood, a packed bit
-    row over `values`."""
     cb, cr = values >> 8, values & 255
     u_cb, u_cr = cb / 255.0, cr / 255.0
-    sums_of = np.column_stack([weights, weights * cb, weights * cr]
+    sums_of = np.column_stack([counts, counts * cb, counts * cr]
                               ).astype(np.float64)
     bw2 = config.bandwidth ** 2
     y = np.column_stack([seeds >> 8, seeds & 255]) / 255.0
-    starts = np.empty_like(y)
-    inside = np.empty((len(seeds), (len(values) + 7) // 8), dtype=np.uint8)
+    ends = {}    # the last step's end, per neighborhood
     rows = max(1, min(len(seeds), _BLOCK // len(values)))
     buf = np.empty((2, rows, len(values)))
     for lo in range(0, len(seeds), rows):
@@ -167,16 +131,30 @@ def _last_steps(seeds, values, weights, config):
             last = shift < TOLERANCE
             if step == config.max_iterations - 1:
                 last[:] = True
-            done = last[inv]
-            at = inv[done]                     # each stopping seed's point
-            starts[active[done]] = p[at]
-            inside[active[done]] = np.packbits(d2[last] != 0, axis=1)[
-                np.cumsum(last)[at] - 1]
+            # a stopping point's last step again, over the samples in
+            # sample order, once per distinct neighborhood, which is all
+            # the step depends on; an empty neighborhood leaves it put
+            for j in np.flatnonzero(last & (n[:, 0] > 0)):
+                hit = d2[j] != 0
+                key = hit.tobytes()
+                if key not in ends:
+                    ends[key] = pts[hit[sample_value]].mean(axis=0)
+                new[j] = ends[key]
             y[active] = new[inv]
-            active = active[~done]
+            active = active[~last[inv]]
             if not len(active):
                 break
-    return starts, inside
+    return y[seed_slot]
+
+
+def _distinct(keys):
+    """The distinct keys, ascending, and each key's index among them."""
+    present = np.zeros(1 << 16, dtype=bool)
+    present[keys] = True
+    values = np.flatnonzero(present)
+    rank = np.empty(1 << 16, dtype=np.intp)
+    rank[values] = np.arange(len(values))
+    return values, rank[keys]
 
 
 def merge_modes(converged, merge_radius) -> ClusterResult:

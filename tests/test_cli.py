@@ -259,6 +259,7 @@ def test_missing_file_exits(tmp_path):
      "frequency must be finite and > 0, got nan"),
     (["latency", "--clock-mhz", "inf"],
      "frequency must be finite and > 0, got inf"),
+    (["latency", "--width", "1" + "0" * 400], "x630 is too large"),
     (["synth", "{tmp}/s.ppm", "--width", "0"],
      "image dimensions must be >= 1, got 0x200"),
     (["verify", "{frame}", "--out-report", "{tmp}/r.json"],
@@ -292,7 +293,8 @@ def test_missing_file_exits(tmp_path):
         "infinite_clock", "infinite_clock_ablate", "unwritable_output",
         "zero_bandwidth", "nan_bandwidth", "infinite_bandwidth",
         "single_mode", "one_class", "nan_latency_clock",
-        "infinite_latency_clock", "zero_width", "verify_output_flag",
+        "infinite_latency_clock", "latency_frame_too_large", "zero_width",
+        "verify_output_flag",
         "ablate_output_flag", "area_not_an_integer", "unknown_flag",
         "truncated_frame", "deeply_nested_centers", "negative_radius",
         "negative_ring", "nan_sigma", "negative_sigma", "width_above_bound",

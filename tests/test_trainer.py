@@ -98,9 +98,11 @@ class TestMeanShift:
         mean_shift(samples, MeanShiftConfig(bandwidth=0.08))
         assert np.array_equal(samples, before)
 
-    def test_peak_memory_is_bounded(self):
+    @pytest.mark.parametrize("seed_stride", [16, 4])
+    def test_peak_memory_is_bounded(self, seed_stride):
         # 16,384 samples, 77% of them distinct values: a step holds two
-        # blocks of trainer._BLOCK float64 (4 MB) at any sample count
+        # blocks of trainer._BLOCK float64 (4 MB) at any sample or seed
+        # count
         rng = np.random.default_rng(5)
         corners = np.array([[64, 64], [64, 192], [192, 64], [192, 192]])
         samples = np.clip(np.rint(corners[rng.integers(0, 4, 16384)]
@@ -108,12 +110,13 @@ class TestMeanShift:
         tracemalloc.start()
         try:
             res = mean_shift(samples,
-                             MeanShiftConfig(bandwidth=0.2, seed_stride=16))
+                             MeanShiftConfig(bandwidth=0.2,
+                                             seed_stride=seed_stride))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert len(res.modes) == 4
-        assert peak < 16 * 2**20
+        assert peak < 8 * 2**20
 
 
 # (samples, config) pairs the trainer must reproduce bit for bit
@@ -177,7 +180,7 @@ class TestAgainstLoopReference:
 
     @pytest.mark.parametrize("rows", [1, 2, 3])
     def test_small_blocks(self, rows, monkeypatch):
-        # phase 1 steps `rows` distinct seeds per block
+        # `rows` distinct seeds step per block
         samples, cfg = EXAMPLES["noisy_disc"]
         distinct = len({tuple(s) for s in samples.tolist()})
         monkeypatch.setattr(trainer, "_BLOCK", rows * distinct)
