@@ -39,14 +39,14 @@ def _add_config_args(p):
     p.add_argument("--skip-class", type=int, action="append",
                    dest="skip_classes", metavar="IDX",
                    help="class index to exclude from labeling (repeatable)")
+
+
+def _add_report_args(p):
     p.add_argument("--area-min", type=int)
     p.add_argument("--ratio-min")
     p.add_argument("--ratio-max")
     p.add_argument("--target-class", type=int)
     p.add_argument("--clock-mhz", type=float)
-
-
-def _add_output_args(p):
     p.add_argument("--out-seg", help="write the label image here (PPM)")
     p.add_argument("--out-annotated", help="write the annotated frame here (PPM)")
     p.add_argument("--out-report", help="write the JSON report here")
@@ -56,7 +56,7 @@ def _add_output_args(p):
 
 def _given(args, *names):
     """The named flags that were given; the library defaults the rest."""
-    return {n: getattr(args, n) for n in names if getattr(args, n) is not None}
+    return {n: v for n in names if (v := getattr(args, n, None)) is not None}
 
 
 def _config_from(args):
@@ -175,7 +175,7 @@ def main(argv=None):
         p = sub.add_parser(name, help=doc)
         _add_config_args(p)
         if fn in (cmd_segment, cmd_detect):
-            _add_output_args(p)
+            _add_report_args(p)
         p.set_defaults(fn=fn)
 
     p = sub.add_parser("train", help="mean-shift class centers from a frame")

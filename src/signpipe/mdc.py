@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image import ImageCbCr, ImageGray
+from .image import ImageCbCr, ImageGray, _quote
 
 
 @dataclass
@@ -48,8 +48,8 @@ class ClassCenterFile:
         limit = 1 << self.resolution_bits
         for i, v in enumerate(self.cells):
             if not 0 <= v < limit:
-                raise ValueError(f"cell {i} value {v} exceeds "
-                                 f"{self.resolution_bits}-bit range")
+                raise ValueError(f"cell {i} value {_quote(str(v), str)} "
+                                 f"exceeds {self.resolution_bits}-bit range")
         if self.names is not None and len(self.names) != self.num_classes:
             raise ValueError("names length must equal num_classes")
 
@@ -262,6 +262,7 @@ def centers_from_json(text: str) -> ClassCenterFile:
             raise ValueError("inconsistent center dimensions")
     bits = doc.get("resolution_bits", 8)
     if type(bits) is not int:
-        raise ValueError(f"resolution_bits must be an integer, got {bits!r}")
+        raise ValueError(f"resolution_bits must be an integer, "
+                         f"got {_quote(repr(bits), str)}")
     return ClassCenterFile.from_centers(centers, resolution_bits=bits,
                                         names=names)

@@ -60,9 +60,11 @@ class MeanShiftConfig:
     seed_stride: int = 4
 
     def __post_init__(self):
-        if not (math.isfinite(self.bandwidth) and self.bandwidth > 0):
-            raise ValueError(f"bandwidth must be finite and > 0, "
-                             f"got {self.bandwidth}")
+        # `bandwidth ** 2` raises OverflowError where this product is inf
+        bw = self.bandwidth
+        if not (math.isfinite(bw * bw) and bw > 0):
+            raise ValueError(f"bandwidth must be finite and > 0, got {bw}; "
+                             f"its square must be finite too")
         for name in ("max_iterations", "seed_stride"):
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)) or value < 1:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -219,6 +220,16 @@ def test_missing_file_exits(tmp_path):
         main(["detect", str(tmp_path / "nope.ppm")])
 
 
+# the rule flags and --clock-mhz: read only by the report, the annotated
+# frame and the printed detections, so only segment and detect take them
+REPORT_FLAG_REFUSALS = [
+    ([sub, "{frame}", flag, value], f"unrecognized arguments: {flag} {value}")
+    for sub in ("ablate", "verify")
+    for flag, value in [("--area-min", "999999"), ("--ratio-min", "5"),
+                        ("--ratio-max", "6"), ("--target-class", "2"),
+                        ("--clock-mhz", "0.001")]]
+
+
 @pytest.mark.parametrize("argv, fragment", [
     (["detect", "{frame}", "--ratio-min", "abc"],
      "ratio_min must be a finite decimal, got 'abc'"),
@@ -243,7 +254,7 @@ def test_missing_file_exits(tmp_path):
       "--out-report", "{tmp}/r.json"],
      "clock_mhz must be finite and > 0, got inf"),
     (["ablate", "{frame}", "--clock-mhz", "inf"],
-     "clock_mhz must be finite and > 0, got inf"),
+     "unrecognized arguments: --clock-mhz"),
     (["detect", "{frame}", "--out-report", "{tmp}/no/such/dir/r.json"],
      "No such file or directory"),
     (["train", "{frame}", "--bandwidth", "0"],
@@ -252,6 +263,8 @@ def test_missing_file_exits(tmp_path):
      "bandwidth must be finite and > 0, got nan"),
     (["train", "{frame}", "--bandwidth", "inf"],
      "bandwidth must be finite and > 0, got inf"),
+    (["train", "{frame}", "--bandwidth", "1e308"],
+     "bandwidth must be finite and > 0, got 1e+308"),
     (["train", "{frame}", "--bandwidth", "2"],
      "num_classes must be >= 2, got 1"),
     (["latency", "--classes", "1"], "num_classes must be >= 2, got 1"),
@@ -273,6 +286,11 @@ def test_missing_file_exits(tmp_path):
     (["detect", "{tmp}/truncated.ppm"], "truncated payload"),
     (["detect", "{frame}", "--centers", "{tmp}/deep.json"],
      "center file is nested too deeply"),
+    (["detect", "{frame}", "--centers", "{tmp}/long_value.json"],
+     "cell 0 value 10000000000000000000... (4000 long) exceeds 8-bit"),
+    (["detect", "{frame}", "--centers", "{tmp}/long_bits.json"],
+     "resolution_bits must be an integer, got 'xxxxxxxxxxxxxxxxxxx... "
+     "(100002 long)"),
     (["synth", "{tmp}/s.ppm", "--radius", "-5"],
      "radius and ring must be >= 0, got -5 and 10"),
     (["synth", "{tmp}/s.ppm", "--ring", "-100"],
@@ -286,25 +304,35 @@ def test_missing_file_exits(tmp_path):
     (["synth", "{tmp}/s.ppm", "--height", "4097"],
      "sides must be <= 4096, got 200x4097"),
     (["synth", "{tmp}/s.ppm", "--seed", "-1"], "seed must be >= 0, got -1"),
-], ids=["ratio_not_a_number", "ratio_nan", "ratio_huge_exponent",
+] + REPORT_FLAG_REFUSALS,
+   ids=["ratio_not_a_number", "ratio_nan", "ratio_huge_exponent",
         "ratio_min_above_max", "skip_class_range",
         "target_class_range", "both_class_flags", "negative_target",
         "center_without_name", "missing_center_file", "zero_clock",
         "infinite_clock", "infinite_clock_ablate", "unwritable_output",
         "zero_bandwidth", "nan_bandwidth", "infinite_bandwidth",
+        "huge_bandwidth",
         "single_mode", "one_class", "nan_latency_clock",
         "infinite_latency_clock", "latency_frame_too_large", "zero_width",
         "verify_output_flag",
         "ablate_output_flag", "area_not_an_integer", "unknown_flag",
-        "truncated_frame", "deeply_nested_centers", "negative_radius",
+        "truncated_frame", "deeply_nested_centers", "long_center_value",
+        "long_resolution_bits", "negative_radius",
         "negative_ring", "nan_sigma", "negative_sigma", "width_above_bound",
-        "height_above_bound", "negative_seed"])
+        "height_above_bound", "negative_seed"]
+    + [f"{a[0]}_{a[2][2:].replace('-', '_')}" for a, _ in REPORT_FLAG_REFUSALS])
 def test_bad_input_exits_with_one_line(argv, fragment, frame_path, tmp_path):
     no_name = tmp_path / "no_name.json"
     no_name.write_text('{"classes": [{"center": [127, 128]},'
                        ' {"name": "yellow", "center": [88, 151]}]}')
     (tmp_path / "truncated.ppm").write_bytes(b"P3 2 1 255\n1 2 3 4 5")
     (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+    for name, bits, first in [("long_value", 8, 10 ** 3999),
+                              ("long_bits", "x" * 100_000, 1)]:
+        (tmp_path / f"{name}.json").write_text(json.dumps({
+            "resolution_bits": bits, "classes": [
+                {"name": "a", "center": [first, 1]},
+                {"name": "b", "center": [1, 2]}]}))
     argv = [a.format(frame=frame_path, no_name=no_name, tmp=tmp_path)
             for a in argv]
     with pytest.raises(SystemExit) as exc:
@@ -345,6 +373,34 @@ def test_runs_as_python_dash_m_signpipe():
     proc = _python("-m", "signpipe", "latency", "--dims", "2", "--classes", "4")
     assert proc.returncode == 0, proc.stderr
     assert "latency: 8 cycles" in proc.stdout
+
+
+CONFIG_FLAGS = ["--centers", "--no-gaussian", "--no-median", "--skip-class"]
+REPORT_FLAGS = ["--area-min", "--ratio-min", "--ratio-max", "--target-class",
+                "--clock-mhz", "--out-seg", "--out-annotated", "--out-report",
+                "--color-labels"]
+FLAGS = {
+    "segment": CONFIG_FLAGS + REPORT_FLAGS,
+    "detect": CONFIG_FLAGS + REPORT_FLAGS,
+    "train": ["--bandwidth", "--seed-stride", "--names", "--out-centers"],
+    "ablate": CONFIG_FLAGS,
+    "latency": ["--dims", "--classes", "--clock-mhz", "--width", "--height"],
+    "verify": CONFIG_FLAGS,
+    "synth": ["--width", "--height", "--radius", "--ring", "--seed", "--sigma"],
+}
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads(capsys):
+    # each option's help line starts with its flag; `-h, --help` does not
+    taken = {}
+    for sub in FLAGS:
+        with pytest.raises(SystemExit) as exc:
+            main([sub, "-h"])
+        assert exc.value.code == 0
+        taken[sub] = re.findall(r"^  (--[\w-]+)", capsys.readouterr().out,
+                                re.MULTILINE)
+    assert taken == FLAGS
+    assert sum(map(len, taken.values())) == 49
 
 
 def test_bad_flag_in_subprocess(frame_path):

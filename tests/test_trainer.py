@@ -78,7 +78,7 @@ class TestMeanShift:
 
     def test_config_validation(self):
         for kwargs in ({"bandwidth": 0}, {"bandwidth": float("nan")},
-                       {"bandwidth": float("inf")},
+                       {"bandwidth": float("inf")}, {"bandwidth": 1e200},
                        {"max_iterations": 0}, {"max_iterations": -1},
                        {"max_iterations": 2.5}, {"seed_stride": 0}):
             with pytest.raises(ValueError):
