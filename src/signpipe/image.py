@@ -1,4 +1,4 @@
-"""Image containers, PPM (P3/P6) file I/O, and RGB to CbCr conversion.
+"""Image containers, PPM (P3/P6) file I/O, and RGB to CbCr by table lookup.
 
 PPM has one grammar, the pattern `_TOKEN`: a token is a run of
 non-whitespace bytes after any whitespace and `#` line comments. A P3
@@ -200,20 +200,27 @@ def rgb_to_cbcr(img: ImageRGB) -> ImageCbCr:
     """Convert to the two chroma channels, discarding luma.
 
     Rounds half-up and clamps to [0, 255]; any achromatic pixel (r=g=b)
-    maps exactly to (128, 128).
+    maps exactly to (128, 128). Each pixel is a row of `_cbcr_of_differences`.
     """
     r, g, b = (img.data[:, :, i] for i in range(3))
-    out = np.empty((img.height, img.width, 2), dtype=np.uint8)
-    for ch, (kr, kg, kb) in enumerate((_CB_COEF, _CR_COEF)):
-        # 128 + round-half-up(k . rgb / 1e6); |k . rgb| <= 127.5e6, so
-        # the sum is positive and only the top needs clamping
-        v = r * np.int32(kr)
-        v += g * np.int32(kg)
-        v += b * np.int32(kb)
-        v += 128_500_000
-        v //= 1_000_000
-        out[:, :, ch] = np.minimum(v, 255, out=v)
+    index = r * np.int32(511) + 130560
+    index += b
+    index -= g * np.int32(512)
+    out = _cbcr_of_differences().take(index, axis=0)
     return ImageCbCr(img.width, img.height, out)
+
+
+@functools.cache
+def _cbcr_of_differences():
+    """Read-only (Cb, Cr) uint8 rows at 511 (r-g+255) + (b-g+255): each
+    coefficient row sums to zero, so k . rgb = kr (r-g) + kb (b-g). Only
+    corners that no RGB input reaches clip at 0."""
+    d = np.arange(-255, 256, dtype=np.int32)
+    out = np.stack([np.add.outer(kr * d, kb * d + 128_500_000) // 1_000_000
+                    for kr, _, kb in (_CB_COEF, _CR_COEF)], axis=-1)
+    out = np.clip(out, 0, 255).astype(np.uint8).reshape(-1, 2)
+    out.flags.writeable = False
+    return out
 
 
 def cbcr_to_rgb(img: ImageCbCr) -> ImageRGB:

@@ -92,13 +92,13 @@ def classify(file: ClassCenterFile, x):
 
 @functools.lru_cache(maxsize=8)
 def _nearest_center_table(cells):
-    """Read-only (256, 256) int32 table of `classify` for every (Cb, Cr)
-    input, built once per distinct 2-D register contents `cells`."""
+    """Read-only (256, 256) int32 table of `classify` at [Cr, Cb] for
+    every (Cb, Cr), built once per distinct 2-D register contents `cells`."""
     levels = np.arange(256, dtype=np.int64)
     best = np.zeros((256, 256), dtype=np.int32)
     best_d = None
     for j, (cb, cr) in enumerate(zip(cells[0::2], cells[1::2])):
-        d = np.abs(levels - cb)[:, None] + np.abs(levels - cr)[None, :]
+        d = np.abs(levels - cr)[:, None] + np.abs(levels - cb)[None, :]
         if best_d is None:
             best_d = d
             continue
@@ -112,14 +112,14 @@ def _nearest_center_table(cells):
 def classify_image(file: ClassCenterFile, img: ImageCbCr) -> ImageGray:
     """Per-pixel classification of a chroma image into class indices.
 
-    Chroma is 8-bit, so the classifier is tabulated for all 65,536
-    (Cb, Cr) pairs, once per center file, and each pixel is one lookup.
+    The classifier is tabulated for all 65,536 (Cb, Cr), once per center
+    file; a pixel's two bytes, as one little-endian 16-bit key, index it.
     """
     if file.dims != 2:
         raise ValueError(f"chroma classification needs dims=2, got {file.dims}")
     table = _nearest_center_table(tuple(file.cells)).reshape(-1)
-    index = (img.data[:, :, 0].astype(np.intp) << 8) | img.data[:, :, 1]
-    return ImageGray(img.width, img.height, table.take(index))
+    key = img.data.view("<u2")[:, :, 0]
+    return ImageGray(img.width, img.height, table.take(key))
 
 
 # --- cycle-stepped pipeline model ---------------------------------------

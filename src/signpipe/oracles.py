@@ -3,6 +3,8 @@
 Each is built on a different algorithm from the code it checks, so that
 agreement is verification rather than shared code agreeing with itself:
 
+- `dot_rgb_to_cbcr`: the BT.601 millionths dot product of each pixel,
+  against the (r-g, b-g) table lookup of `image.rgb_to_cbcr`;
 - `flood_fill_label`: a per-pixel stack-based flood fill, against the
   run-based labeler of `ccl.label_components`;
 - `stream_gaussian3x3` and `stream_median3x3`: the hardware-faithful
@@ -27,7 +29,7 @@ import numpy as np
 
 from .ccl import ComponentFeatures
 from .filters import GAUSSIAN_DIVISOR, GAUSSIAN_KERNEL, stream_window
-from .image import ImageCbCr, ImageGray
+from .image import _CB_COEF, _CR_COEF, ImageCbCr, ImageGray, ImageRGB
 from .mdc import classify
 from .trainer import TOLERANCE, ClusterResult
 
@@ -68,6 +70,22 @@ def flood_fill_label(seg: ImageGray, skip=frozenset()):
             feats.append(acc)
             next_id += 1
     return ImageGray(w, h, labels), feats
+
+
+def dot_rgb_to_cbcr(img: ImageRGB) -> ImageCbCr:
+    """`image.rgb_to_cbcr` as the millionths dot product of each pixel."""
+    r, g, b = (img.data[:, :, i] for i in range(3))
+    out = np.empty((img.height, img.width, 2), dtype=np.uint8)
+    for ch, (kr, kg, kb) in enumerate((_CB_COEF, _CR_COEF)):
+        # 128 + round-half-up(k . rgb / 1e6); |k . rgb| <= 127.5e6, so
+        # the sum is positive and only the top needs clamping
+        v = r * np.int32(kr)
+        v += g * np.int32(kg)
+        v += b * np.int32(kb)
+        v += 128_500_000
+        v //= 1_000_000
+        out[:, :, ch] = np.minimum(v, 255, out=v)
+    return ImageCbCr(img.width, img.height, out)
 
 
 def _stream_filter_plane(plane, window_fn):

@@ -60,9 +60,9 @@ class MeanShiftConfig:
     seed_stride: int = 4
 
     def __post_init__(self):
-        # `bandwidth ** 2` raises OverflowError where this product is inf
+        # `bandwidth ** 2` must be a finite float; an int compares exactly
         bw = self.bandwidth
-        if not (math.isfinite(bw * bw) and bw > 0):
+        if not (bw > 0 and bw * bw <= sys.float_info.max):
             raise ValueError(f"bandwidth must be finite and > 0, got {bw}; "
                              f"its square must be finite too")
         for name in ("max_iterations", "seed_stride"):

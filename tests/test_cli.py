@@ -127,7 +127,7 @@ def test_verify_subcommand(tmp_path, capsys):
     path.write_bytes(save_pnm(disc_frame(48, 48, 10, 4)))
     assert main(["verify", str(path)]) == 0
     out = capsys.readouterr().out
-    for stage in ("gaussian", "classify", "median", "labeling"):
+    for stage in ("conversion", "gaussian", "classify", "median", "labeling"):
         assert f"{stage}: ok" in out
 
 
@@ -146,6 +146,8 @@ def _drop_last_component(real):
 
 # each stage's production function in `pipeline`, and a wrong version of it
 WRONG_STAGES = {
+    "conversion": ("rgb_to_cbcr",
+                   lambda real: lambda img: _flip_first(real(img))),
     "gaussian": ("gaussian3x3",
                  lambda real: lambda img: _flip_first(real(img))),
     "classify": ("classify_image", lambda real: lambda centers, chroma:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from signpipe import image
 from signpipe.image import (_TOKEN, ImageCbCr, ImageGray, ImageRGB, PnmError,
                             cbcr_to_rgb, load_pnm, rgb_to_cbcr, save_pnm)
+from signpipe.oracles import dot_rgb_to_cbcr
 
 
 def rgb_images(max_side=12):
@@ -337,6 +338,23 @@ class TestRgbToCbcr:
         out = rgb_to_cbcr(img)
         assert out.data.dtype == np.uint8
         assert (out.width, out.height) == (img.width, img.height)
+
+    @pytest.mark.parametrize("convert", [rgb_to_cbcr, dot_rgb_to_cbcr])
+    @given(data=st.data())
+    @settings(max_examples=50)
+    def test_same_shift_on_every_channel_keeps_chroma(self, convert, data):
+        # each coefficient row sums to zero, so chroma depends only on
+        # (r-g, b-g): the premise of the conversion table
+        img = data.draw(rgb_images(max_side=6))
+        k = data.draw(st.integers(-int(img.data.min()),
+                                  255 - int(img.data.max())))
+        shifted = ImageRGB(img.width, img.height, img.data + np.int16(k))
+        assert convert(shifted) == convert(img)
+
+    def test_table_is_read_only(self):
+        table = image._cbcr_of_differences()
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
 
     def test_exhaustive_against_float_formula(self):
         # every 2^24 RGB input, 16 red levels at a time, against the

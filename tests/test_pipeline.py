@@ -146,5 +146,6 @@ def test_verify_frame_agrees_on_random_small_frames(case):
     config, rgb = case
     result = verify_frame(config, rgb)
     # a filter that is off is still checked
-    assert list(result) == ["gaussian", "classify", "median", "labeling"]
+    assert list(result) == ["conversion", "gaussian", "classify", "median",
+                            "labeling"]
     assert all(result.values())

@@ -79,6 +79,7 @@ class TestMeanShift:
     def test_config_validation(self):
         for kwargs in ({"bandwidth": 0}, {"bandwidth": float("nan")},
                        {"bandwidth": float("inf")}, {"bandwidth": 1e200},
+                       {"bandwidth": 10**160}, {"bandwidth": 10**400},
                        {"max_iterations": 0}, {"max_iterations": -1},
                        {"max_iterations": 2.5}, {"seed_stride": 0}):
             with pytest.raises(ValueError):
