@@ -80,6 +80,11 @@ def _load_frame(path):
 def _run_frame(args):
     """Run the chain on `args.image`; write the outputs asked for."""
     config = _config_from(args)
+    # each is read by one output only; refuse it without that output
+    if args.color_labels and not args.out_seg:
+        raise ValueError("--color-labels needs --out-seg")
+    if args.clock_mhz is not None and not args.out_report:
+        raise ValueError("--clock-mhz needs --out-report")
     report, artifacts = run_pipeline(config, _load_frame(args.image), args.image)
     if args.out_seg:
         Path(args.out_seg).write_bytes(save_pnm(render_labels(

@@ -110,19 +110,12 @@ def _stages(config: PipelineConfig):
     ]
 
 
-def _run_stages(config: PipelineConfig, rgb: ImageRGB, checks=None):
-    """Run the enabled stages; returns (class image, labeling output).
-    With a `checks` dict, also records whether each stage matches its
-    reference, running a disabled filter on the input it would have
-    received and dropping its output."""
+def _run_stages(config: PipelineConfig, rgb: ImageRGB):
+    """Run the enabled stages; returns (class image, labeling output)."""
     seg = value = rgb
-    for name, enabled, production, reference in _stages(config):
-        if enabled or checks is not None:
-            out = production(value)
-            if checks is not None:
-                checks[name] = out == reference(value)
-            if enabled:
-                seg, value = value, out
+    for _, enabled, production, _ in _stages(config):
+        if enabled:
+            seg, value = value, production(value)
     return seg, value
 
 
@@ -177,7 +170,14 @@ def render_labels(labels: ImageGray, num_levels=None, color=False) -> ImageRGB:
 
 def verify_frame(config: PipelineConfig, rgb: ImageRGB):
     """Cross-check one frame's production stages against the references
-    in `oracles`. Returns a dict of stage name -> bool (True = match)."""
+    in `oracles`, each on the input it receives in the chain. A disabled
+    filter is checked on the input it would have received, and its output
+    is dropped. Returns a dict of stage name -> bool (True = match)."""
     results = {}
-    _run_stages(config, rgb, results)
+    value = rgb
+    for name, enabled, production, reference in _stages(config):
+        out = production(value)
+        results[name] = out == reference(value)
+        if enabled:
+            value = out
     return results

@@ -97,9 +97,10 @@ def converge(samples, config: MeanShiftConfig) -> np.ndarray:
     if not ((pts >= 0) & (pts <= 255) & (pts == np.floor(pts))).all():
         raise ValueError("samples must be integer (Cb, Cr) values in [0, 255]")
     keys = (pts[:, 0] * 256 + pts[:, 1]).astype(np.intp)
-    values, sample_value = _distinct(keys)
-    seeds, seed_slot = _distinct(keys[::config.seed_stride])
-    counts = np.bincount(sample_value, minlength=len(values))
+    values, sample_value, counts = np.unique(keys, return_inverse=True,
+                                             return_counts=True)
+    seeds, seed_slot = np.unique(keys[::config.seed_stride],
+                                 return_inverse=True)
     pts = pts / 255.0    # a new array: samples may be the caller's
     cb, cr = values >> 8, values & 255
     u_cb, u_cr = cb / 255.0, cr / 255.0
@@ -147,16 +148,6 @@ def converge(samples, config: MeanShiftConfig) -> np.ndarray:
             if not len(active):
                 break
     return y[seed_slot]
-
-
-def _distinct(keys):
-    """The distinct keys, ascending, and each key's index among them."""
-    present = np.zeros(1 << 16, dtype=bool)
-    present[keys] = True
-    values = np.flatnonzero(present)
-    rank = np.empty(1 << 16, dtype=np.intp)
-    rank[values] = np.arange(len(values))
-    return values, rank[keys]
 
 
 def merge_modes(converged, merge_radius) -> ClusterResult:

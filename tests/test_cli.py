@@ -157,17 +157,57 @@ WRONG_STAGES = {
 }
 
 
-@pytest.mark.parametrize("stage", WRONG_STAGES)
-def test_verify_names_the_stage_at_fault(stage, tmp_path, capsys,
+# a filter's toggle, and the production functions before and after it
+AROUND_FILTER = {"--no-gaussian": ("rgb_to_cbcr", "classify_image"),
+                 "--no-median": ("classify_image", "label_components")}
+
+
+def _recording(real, calls):
+    """`real`, recording its arguments and output."""
+    def record(*args):
+        out = real(*args)
+        calls.append((args, out))
+        return out
+    return record
+
+
+@pytest.mark.parametrize("stage, toggle", [
+    pytest.param(stage, toggle, id=stage + (toggle or ""))
+    for toggle in (None, *AROUND_FILTER) for stage in WRONG_STAGES])
+def test_verify_names_the_stage_at_fault(stage, toggle, tmp_path, capsys,
                                          monkeypatch):
     path = tmp_path / "small.ppm"
     path.write_bytes(save_pnm(disc_frame(48, 48, 10, 4)))
     name, wrong = WRONG_STAGES[stage]
     monkeypatch.setattr(pipeline, name, wrong(getattr(pipeline, name)))
-    assert main(["verify", str(path)]) == 1
+    calls = {}
+    for real, _ in WRONG_STAGES.values():
+        monkeypatch.setattr(pipeline, real, _recording(
+            getattr(pipeline, real), calls.setdefault(real, [])))
+    assert main(["verify", str(path)] + ([toggle] if toggle else [])) == 1
     out = capsys.readouterr().out.splitlines()
+    # a disabled filter is checked too, on the input it would have received
     for other in WRONG_STAGES:
         assert f"{other}: {'MISMATCH' if other == stage else 'ok'}" in out
+    assert all(len(c) == 1 for c in calls.values())
+    if toggle:
+        # and its output is dropped: the next stage takes the one before's
+        before, after = AROUND_FILTER[toggle]
+        (args, _), = calls[after]
+        assert any(a is calls[before][0][1] for a in args)
+
+
+def test_color_labels_writes_the_palette_image(frame_path, tmp_path):
+    seg_path = tmp_path / "seg.ppm"
+    assert main(["segment", str(frame_path), "--out-seg", str(seg_path),
+                 "--color-labels"]) == 0
+    _, artifacts = run_pipeline(PipelineConfig(),
+                                load_pnm(frame_path.read_bytes()))
+    seg, rgb = artifacts.seg.data, load_pnm(seg_path.read_bytes()).data
+    # background black, then the palette's yellow and red
+    for c, color in enumerate([(0, 0, 0), (255, 214, 0), (220, 40, 40)]):
+        assert (seg == c).any() and (rgb[seg == c] == color).all()
+    assert seg.max() == 2
 
 
 def test_train_subcommand(tmp_path, capsys):
@@ -257,6 +297,10 @@ REPORT_FLAG_REFUSALS = [
      "clock_mhz must be finite and > 0, got inf"),
     (["ablate", "{frame}", "--clock-mhz", "inf"],
      "unrecognized arguments: --clock-mhz"),
+    (["detect", "{frame}", "--clock-mhz", "200", "--out-seg", "{tmp}/s.ppm"],
+     "--clock-mhz needs --out-report"),
+    (["segment", "{frame}", "--color-labels", "--out-report", "{tmp}/r.json"],
+     "--color-labels needs --out-seg"),
     (["detect", "{frame}", "--out-report", "{tmp}/no/such/dir/r.json"],
      "No such file or directory"),
     (["train", "{frame}", "--bandwidth", "0"],
@@ -311,7 +355,8 @@ REPORT_FLAG_REFUSALS = [
         "ratio_min_above_max", "skip_class_range",
         "target_class_range", "both_class_flags", "negative_target",
         "center_without_name", "missing_center_file", "zero_clock",
-        "infinite_clock", "infinite_clock_ablate", "unwritable_output",
+        "infinite_clock", "infinite_clock_ablate", "clock_without_report",
+        "color_labels_without_seg", "unwritable_output",
         "zero_bandwidth", "nan_bandwidth", "infinite_bandwidth",
         "huge_bandwidth",
         "single_mode", "one_class", "nan_latency_clock",
