@@ -116,14 +116,10 @@ def cmd_detect(args):
 
 
 def cmd_train(args):
-    rgb = _load_frame(args.image)
-    chroma = rgb_to_cbcr(rgb)
-    samples = chroma.data.reshape(-1, 2)
+    samples = rgb_to_cbcr(_load_frame(args.image)).data.reshape(-1, 2)
     result = mean_shift(samples, MeanShiftConfig(
         **_given(args, "bandwidth", "seed_stride")))
-    names = (args.names.split(",") if args.names
-             else [f"class{i}" for i in range(len(result.modes))])
-    text = centers_to_file(result, names)
+    text = centers_to_file(result, args.names and args.names.split(","))
     centers_from_json(text)  # refuse a file `detect` would refuse
     if args.out_centers:
         Path(args.out_centers).write_text(text)
@@ -145,6 +141,8 @@ def cmd_ablate(args):
 
 def cmd_latency(args):
     model = PipelineModel(args.dims, args.classes)
+    if model.latency >= 10 ** 4300:  # more digits than Python prints
+        raise ValueError("--dims is too large: its latency passes 4300 digits")
     fps = estimate_frame_rate(args.clock_mhz * 1e6, args.width, args.height)
     print(f"latency: {model.latency} cycles "
           f"(3*{args.dims} + ceil(log2 {args.classes}))")

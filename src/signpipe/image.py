@@ -62,16 +62,11 @@ class ImageGray(_Image):
 
 
 def _decimal(tok):
-    """The value of a token of ASCII decimal digits, else None.
-
-    Netpbm numbers are digits only; `int` alone also takes a sign and
-    underscores, and raises ValueError past 4300 digits."""
-    if tok.isdigit():  # bytes.isdigit is ASCII-only
-        try:
-            return int(tok)
-        except ValueError:
-            pass
-    return None
+    """The value of a token of 1 to 2000 ASCII digits (`bytes.isdigit`),
+    else None. `int` alone also takes a sign and underscores, and past
+    2000 digits a frame size of two sides passes the 4300 digits Python
+    prints in an error message."""
+    return int(tok) if tok.isdigit() and len(tok) <= 2000 else None
 
 
 def _quote(tok, show=repr):
@@ -95,7 +90,7 @@ def _p3_samples(raw, pos, n):
     """The P3 payload raw[pos:], 2n - 1 bytes or more, as n uint8 samples
     read whole-array; None unless it is whitespace and n numbers of 1 to 3
     digits up to 255, and then the `_TOKEN` scan reads it and alone raises.
-    Temporaries are uint8 and uint16, about 7 B per payload byte at most."""
+    Temporaries take about 9 B per payload byte at most."""
     c = np.frombuffer(bytes(raw).translate(_P3_BYTES), np.uint8)[pos:]
     if c.max() == _OTHER:
         return None
@@ -113,7 +108,7 @@ def _p3_samples(raw, pos, n):
     end[:-1] &= ~d[1:]
     if np.count_nonzero(end) != n:
         return None
-    samples = v[end]
+    samples = np.compress(end, v)
     return samples.astype(np.uint8) if samples.max() <= 255 else None
 
 

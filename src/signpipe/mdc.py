@@ -19,6 +19,10 @@ import numpy as np
 
 from .image import ImageCbCr, ImageGray, _quote
 
+# the shipped 8-bit center file, in class order
+DEFAULT_CENTERS = ((127, 128), (88, 151), (116, 157), (109, 180))
+DEFAULT_NAMES = ("background", "yellow", "red_low", "red_high")
+
 
 @dataclass
 class ClassCenterFile:
@@ -218,16 +222,14 @@ def estimate_frame_rate(frequency_hz, width, height):
 # --- JSON center-file format --------------------------------------------
 
 def centers_to_json(file: ClassCenterFile) -> str:
-    names = file.names or [f"class{j}" for j in range(file.num_classes)]
-    return format_centers(names, file.centers(), file.resolution_bits)
+    return format_centers(file.names, file.centers(), file.resolution_bits)
 
 
 def format_centers(names, centers, resolution_bits) -> str:
-    """The center-file JSON of named centers, in class order.
-
-    Any class count is written; `centers_from_json` reads back only
-    files with 2 or more classes.
-    """
+    """The center-file JSON of centers in class order; with no names,
+    class j is named `class<j>`. Any class count is written, but
+    `centers_from_json` reads back only files with 2 or more classes."""
+    names = names or [f"class{j}" for j in range(len(centers))]
     doc = {
         "resolution_bits": resolution_bits,
         "classes": [{"name": name, "center": list(center)}
@@ -236,10 +238,17 @@ def format_centers(names, centers, resolution_bits) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _json_int(digits):
+    try:
+        return int(digits)
+    except ValueError:  # past the 4300 digits Python converts
+        raise ValueError(f"number {_quote(digits, str)} is too long") from None
+
+
 def centers_from_json(text: str) -> ClassCenterFile:
     """Parse a center file; a malformed document raises ValueError."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=_json_int)
     except RecursionError:
         raise ValueError("center file is nested too deeply") from None
     classes = doc.get("classes") if isinstance(doc, dict) else None

@@ -11,7 +11,6 @@ run documents what the streaming design would deliver.
 
 import math
 from dataclasses import dataclass, field, replace
-from importlib import resources
 
 import numpy as np
 
@@ -20,16 +19,16 @@ from .ccl import label_components
 from .detector import DetectionRule, annotate, detect
 from .filters import gaussian3x3, median3x3
 from .image import ImageGray, ImageRGB, rgb_to_cbcr
-from .mdc import (ClassCenterFile, PipelineModel, centers_from_json,
-                  classify_image, estimate_frame_rate)
+from .mdc import (DEFAULT_CENTERS, DEFAULT_NAMES, ClassCenterFile,
+                  PipelineModel, classify_image, estimate_frame_rate)
 
 DEFAULT_CLOCK_MHZ = 170.0
 
 
 def default_centers() -> ClassCenterFile:
-    """The shipped background/yellow/red center file."""
-    text = (resources.files("signpipe") / "data" / "default_centers.json").read_text()
-    return centers_from_json(text)
+    """The shipped background/yellow/red center file, `mdc.DEFAULT_CENTERS`."""
+    return ClassCenterFile.from_centers(DEFAULT_CENTERS,
+                                        names=list(DEFAULT_NAMES))
 
 
 @dataclass

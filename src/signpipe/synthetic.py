@@ -1,8 +1,8 @@
 """Synthetic test-frame generators for desk-scale experiments.
 
-Frames are painted directly in chroma space at the default class-center
-colors, then converted to RGB at a fixed luma so they can feed the full
-file-based pipeline. Chroma noise models camera sensor noise.
+Frames are painted directly in chroma space at the default class centers,
+`mdc.DEFAULT_CENTERS`, then converted to RGB at a fixed luma so they can
+feed the full file-based pipeline. Chroma noise models camera sensor noise.
 """
 
 import math
@@ -10,11 +10,10 @@ import math
 import numpy as np
 
 from .image import ImageCbCr, ImageRGB, cbcr_to_rgb
+from .mdc import DEFAULT_CENTERS
 
-# chroma of the default classes (Cb, Cr)
-BACKGROUND_CHROMA = (127, 128)
-YELLOW_CHROMA = (88, 151)
-RED_CHROMA = (116, 157)
+# (Cb, Cr) of the default background, yellow and red_low classes
+BACKGROUND_CHROMA, YELLOW_CHROMA, RED_CHROMA, _ = DEFAULT_CENTERS
 
 MAX_SIDE = 4096  # largest frame side disc_frame paints
 

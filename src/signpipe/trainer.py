@@ -182,12 +182,12 @@ def merge_modes(converged, merge_radius) -> ClusterResult:
 
 
 def centers_to_file(result: ClusterResult, names) -> str:
-    """Serialize trained modes as an 8-bit classifier center-file JSON.
+    """Serialize trained modes as an 8-bit classifier center-file JSON;
+    with no names, class j is `class<j>`.
 
     Class order follows the result's descending-support order (ties break
     by ascending Cb, then Cr). A single mode is written too, but the
-    classifier needs 2 classes, so `mdc.centers_from_json` refuses it.
-    """
-    if len(names) != len(result.modes):
+    classifier needs 2 classes, so `mdc.centers_from_json` refuses it."""
+    if names and len(names) != len(result.modes):
         raise ValueError(f"{len(names)} names for {len(result.modes)} modes")
     return format_centers(names, result.modes, 8)

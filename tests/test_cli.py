@@ -221,6 +221,9 @@ def test_train_subcommand(tmp_path, capsys):
     assert len(doc["classes"]) >= 2
     # the dominant mode is the background chroma
     assert doc["classes"][0]["center"] == [127, 128]
+    # with no --names, class j is named class<j>
+    assert ([c["name"] for c in doc["classes"]]
+            == [f"class{j}" for j in range(len(doc["classes"]))])
 
 
 def test_synth_defaults_are_the_library_defaults(tmp_path):
@@ -337,6 +340,14 @@ REPORT_FLAG_REFUSALS = [
     (["detect", "{frame}", "--centers", "{tmp}/long_bits.json"],
      "resolution_bits must be an integer, got 'xxxxxxxxxxxxxxxxxxx... "
      "(100002 long)"),
+    (["detect", "{tmp}/long_sides_p6.ppm"], "invalid width"),
+    (["detect", "{tmp}/long_sides_p3.ppm"], "invalid width"),
+    (["detect", "{frame}", "--centers", "{tmp}/huge_value.json"],
+     "number 99999999999999999999... (5001 long) is too long"),
+    (["detect", "{frame}", "--centers", "{tmp}/huge_bits.json"],
+     "number 99999999999999999999... (5001 long) is too long"),
+    (["latency", "--dims", "9" * 4300],
+     "--dims is too large: its latency passes 4300 digits"),
     (["synth", "{tmp}/s.ppm", "--radius", "-5"],
      "radius and ring must be >= 0, got -5 and 10"),
     (["synth", "{tmp}/s.ppm", "--ring", "-100"],
@@ -364,7 +375,9 @@ REPORT_FLAG_REFUSALS = [
         "verify_output_flag",
         "ablate_output_flag", "area_not_an_integer", "unknown_flag",
         "truncated_frame", "deeply_nested_centers", "long_center_value",
-        "long_resolution_bits", "negative_radius",
+        "long_resolution_bits", "long_sides_p6", "long_sides_p3",
+        "huge_center_value", "huge_resolution_bits", "latency_huge_dims",
+        "negative_radius",
         "negative_ring", "nan_sigma", "negative_sigma", "width_above_bound",
         "height_above_bound", "negative_seed"]
     + [f"{a[0]}_{a[2][2:].replace('-', '_')}" for a, _ in REPORT_FLAG_REFUSALS])
@@ -380,6 +393,18 @@ def test_bad_input_exits_with_one_line(argv, fragment, frame_path, tmp_path):
             "resolution_bits": bits, "classes": [
                 {"name": "a", "center": [first, 1]},
                 {"name": "b", "center": [1, 2]}]}))
+    # integers past the 4300 digits Python's int converts
+    huge = "9" * 5001
+    for name, bits, first in [("huge_value", "8", huge),
+                              ("huge_bits", huge, "1")]:
+        (tmp_path / f"{name}.json").write_text(
+            f'{{"resolution_bits": {bits}, "classes": ['
+            f'{{"name": "a", "center": [{first}, 1]}}, '
+            f'{{"name": "b", "center": [1, 2]}}]}}')
+    side = b"1" * 2201
+    for magic in ("p6", "p3"):
+        (tmp_path / f"long_sides_{magic}.ppm").write_bytes(
+            magic.upper().encode() + b" " + side + b" " + side + b" 255\n")
     argv = [a.format(frame=frame_path, no_name=no_name, tmp=tmp_path)
             for a in argv]
     with pytest.raises(SystemExit) as exc:
@@ -396,8 +421,12 @@ def _python(*args, timeout=None):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(__file__).resolve().parents[1] / "src"),
          os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, env=env, timeout=timeout)
+    # a deprecation fails out of process as pytest's filterwarnings
+    # makes it fail in process
+    return subprocess.run([sys.executable, "-W", "error::DeprecationWarning",
+                           "-W", "error::PendingDeprecationWarning", *args],
+                          capture_output=True, text=True, env=env,
+                          timeout=timeout)
 
 
 def _run_cli(*argv, timeout=None):

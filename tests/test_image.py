@@ -115,6 +115,14 @@ class TestLoadPnm:
         with pytest.raises(PnmError, match="truncated"):
             load_pnm(raw)
 
+    @pytest.mark.parametrize("magic", [b"P6", b"P3"])
+    def test_header_sides_past_2000_digits_raise_pnm_error(self, magic):
+        # two 2201-digit sides make a frame size Python will not print
+        side = b"1" * 2201
+        with pytest.raises(PnmError, match="invalid width") as exc:
+            load_pnm(magic + b" " + side + b" " + side + b" 255\n")
+        assert exc.value.offset == 3
+
     def test_p3_missing_sample_reports_payload(self):
         # long enough in bytes to pass the size check, one sample short
         with pytest.raises(PnmError, match="truncated payload, sample 5 of 6"):

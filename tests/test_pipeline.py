@@ -8,6 +8,8 @@ else. Component ids follow raster order, so features are compared as
 multisets.
 """
 
+import builtins
+import io
 import re
 from fractions import Fraction
 
@@ -20,8 +22,10 @@ from signpipe.ccl import label_components
 from signpipe.detector import DetectionRule, detect
 from signpipe.filters import gaussian3x3, median3x3
 from signpipe.image import ImageRGB, cbcr_to_rgb, rgb_to_cbcr
-from signpipe.mdc import ClassCenterFile, classify_image
-from signpipe.pipeline import PipelineConfig, run_pipeline, verify_frame
+from signpipe.mdc import (ClassCenterFile, centers_from_json, centers_to_json,
+                          classify_image)
+from signpipe.pipeline import (PipelineConfig, default_centers, run_pipeline,
+                               verify_frame)
 from signpipe.synthetic import (BACKGROUND_CHROMA, RED_CHROMA, YELLOW_CHROMA,
                                 chroma_constant, disc_frame, paint_disc)
 
@@ -149,3 +153,29 @@ def test_verify_frame_agrees_on_random_small_frames(case):
     assert list(result) == ["conversion", "gaussian", "classify", "median",
                             "labeling"]
     assert all(result.values())
+
+
+def test_default_centers_are_the_file_the_package_once_shipped():
+    # the shipped background/yellow/red center file as a document; the
+    # default centers and their JSON must read back as exactly this
+    shipped = centers_from_json("""{
+      "resolution_bits": 8,
+      "classes": [
+        {"name": "background", "center": [127, 128]},
+        {"name": "yellow", "center": [88, 151]},
+        {"name": "red_low", "center": [116, 157]},
+        {"name": "red_high", "center": [109, 180]}
+      ]
+    }""")
+    assert default_centers() == shipped
+    assert centers_from_json(centers_to_json(default_centers())) == shipped
+
+
+def test_a_default_run_opens_no_file(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise OSError("the library opened a file")
+
+    for module in (builtins, io):
+        monkeypatch.setattr(module, "open", refuse)
+    report, _ = run_pipeline(PipelineConfig(), disc_frame())
+    assert len(report.detections) == 1

@@ -13,7 +13,11 @@ ROOT = Path(__file__).resolve().parents[1]
 def run_script(name, *args):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+    # a deprecation fails out of process as pytest's filterwarnings
+    # makes it fail in process
+    proc = subprocess.run([sys.executable, "-W", "error::DeprecationWarning",
+                           "-W", "error::PendingDeprecationWarning",
+                           str(ROOT / "scripts" / name), *args],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
