@@ -15,17 +15,29 @@ import sys
 from pathlib import Path
 
 from .detector import DetectionRule
-from .image import load_pnm, rgb_to_cbcr, save_pnm
-from .mdc import PipelineModel, centers_from_json, estimate_frame_rate
+from .image import _quote, load_pnm, rgb_to_cbcr, save_pnm
+from .mdc import (ClassCenterFile, PipelineModel, centers_from_json,
+                  centers_to_json, estimate_frame_rate)
 from .pipeline import (DEFAULT_CLOCK_MHZ, PipelineConfig, ablation_stats,
                        render_labels, run_pipeline, verify_frame)
 from .synthetic import disc_frame
-from .trainer import MeanShiftConfig, centers_to_file, mean_shift
+from .trainer import MeanShiftConfig, mean_shift
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise SystemExit(f"signpipe: {message}")
+
+
+def _number(kind):
+    """An argparse type whose error quotes at most 20 bytes of the token."""
+    def parse(text):
+        try:
+            return kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {_quote(text)}") from None
+    return parse
 
 
 def _add_config_args(p):
@@ -36,17 +48,17 @@ def _add_config_args(p):
                    help="skip the pre-classifier smoothing filter")
     p.add_argument("--no-median", action="store_true",
                    help="skip the post-classifier median filter")
-    p.add_argument("--skip-class", type=int, action="append",
+    p.add_argument("--skip-class", type=_number(int), action="append",
                    dest="skip_classes", metavar="IDX",
                    help="class index to exclude from labeling (repeatable)")
 
 
 def _add_report_args(p):
-    p.add_argument("--area-min", type=int)
+    p.add_argument("--area-min", type=_number(int))
     p.add_argument("--ratio-min")
     p.add_argument("--ratio-max")
-    p.add_argument("--target-class", type=int)
-    p.add_argument("--clock-mhz", type=float)
+    p.add_argument("--target-class", type=_number(int))
+    p.add_argument("--clock-mhz", type=_number(float))
     p.add_argument("--out-seg", help="write the label image here (PPM)")
     p.add_argument("--out-annotated", help="write the annotated frame here (PPM)")
     p.add_argument("--out-report", help="write the JSON report here")
@@ -119,8 +131,8 @@ def cmd_train(args):
     samples = rgb_to_cbcr(_load_frame(args.image)).data.reshape(-1, 2)
     result = mean_shift(samples, MeanShiftConfig(
         **_given(args, "bandwidth", "seed_stride")))
-    text = centers_to_file(result, args.names and args.names.split(","))
-    centers_from_json(text)  # refuse a file `detect` would refuse
+    text = centers_to_json(ClassCenterFile.from_centers(
+        result.modes, names=args.names.split(",") if args.names else None))
     if args.out_centers:
         Path(args.out_centers).write_text(text)
     else:
@@ -183,25 +195,25 @@ def main(argv=None):
 
     p = sub.add_parser("train", help="mean-shift class centers from a frame")
     p.add_argument("image")
-    p.add_argument("--bandwidth", type=float)
-    p.add_argument("--seed-stride", type=int)
+    p.add_argument("--bandwidth", type=_number(float))
+    p.add_argument("--seed-stride", type=_number(int))
     p.add_argument("--names", help="comma-separated class names")
     p.add_argument("--out-centers", help="write the center JSON here")
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("latency", help="latency formula and FPS estimate")
-    p.add_argument("--dims", type=int, default=2)
-    p.add_argument("--classes", type=int, default=4)
-    p.add_argument("--clock-mhz", type=float, default=DEFAULT_CLOCK_MHZ)
-    p.add_argument("--width", type=int, default=1000)
-    p.add_argument("--height", type=int, default=630)
+    p.add_argument("--dims", type=_number(int), default=2)
+    p.add_argument("--classes", type=_number(int), default=4)
+    p.add_argument("--clock-mhz", type=_number(float), default=DEFAULT_CLOCK_MHZ)
+    p.add_argument("--width", type=_number(int), default=1000)
+    p.add_argument("--height", type=_number(int), default=630)
     p.set_defaults(fn=cmd_latency)
 
     p = sub.add_parser("synth", help="write a synthetic disc test frame")
     p.add_argument("out")
     for flag in ("--width", "--height", "--radius", "--ring", "--seed"):
-        p.add_argument(flag, type=int)
-    p.add_argument("--sigma", type=float)
+        p.add_argument(flag, type=_number(int))
+    p.add_argument("--sigma", type=_number(float))
     p.set_defaults(fn=cmd_synth)
 
     args = parser.parse_args(argv)

@@ -49,18 +49,25 @@ class ClassCenterFile:
             self.cells = [0] * n
         if len(self.cells) != n:
             raise ValueError(f"expected {n} cells, got {len(self.cells)}")
-        limit = 1 << self.resolution_bits
         for i, v in enumerate(self.cells):
-            if not 0 <= v < limit:
-                raise ValueError(f"cell {i} value {_quote(str(v), str)} "
-                                 f"exceeds {self.resolution_bits}-bit range")
+            self._check_cell(i, v)
         if self.names is not None and len(self.names) != self.num_classes:
-            raise ValueError("names length must equal num_classes")
+            raise ValueError(f"names length must equal num_classes: "
+                             f"{len(self.names)} names for "
+                             f"{self.num_classes} classes")
+
+    def _check_cell(self, i, v):
+        """Refuse value v for cell i unless it fits in resolution_bits."""
+        if not 0 <= v < (1 << self.resolution_bits):
+            raise ValueError(f"cell {i} value {_quote(str(v), str)} "
+                             f"exceeds {self.resolution_bits}-bit range")
 
     @classmethod
     def from_centers(cls, centers, resolution_bits=8, names=None):
         # an empty list fails the class-count check
         dims = len(centers[0]) if centers else 0
+        if any(len(center) != dims for center in centers):
+            raise ValueError("inconsistent center dimensions")
         cells = [int(v) for center in centers for v in center]
         return cls(dims, len(centers), resolution_bits, cells, names)
 
@@ -75,11 +82,9 @@ class ClassCenterFile:
 
 def program_center(file: ClassCenterFile, addr, value):
     """Write one register cell; refuses out-of-range addresses or values."""
-    if not 0 <= addr < file.dims * file.num_classes:
-        raise ValueError(f"address {addr} out of range "
-                         f"[0, {file.dims * file.num_classes})")
-    if not 0 <= value < (1 << file.resolution_bits):
-        raise ValueError(f"value {value} exceeds {file.resolution_bits}-bit range")
+    if not 0 <= addr < len(file.cells):
+        raise ValueError(f"address {addr} out of range [0, {len(file.cells)})")
+    file._check_cell(addr, value)
     file.cells[addr] = value
     return file
 
@@ -216,19 +221,21 @@ def estimate_frame_rate(frequency_hz, width, height):
         return frequency_hz / (width * height)
     except OverflowError:
         # a pixel count past the float range
-        raise ValueError(f"frame size {width}x{height} is too large") from None
+        raise ValueError(f"frame size {_quote(str(width), str)}x"
+                         f"{_quote(str(height), str)} is too large") from None
 
 
 # --- JSON center-file format --------------------------------------------
 
 def centers_to_json(file: ClassCenterFile) -> str:
-    return format_centers(file.names, file.centers(), file.resolution_bits)
+    """The center-file JSON of `file`; `ClassCenterFile` holds the rules,
+    so with int cells and str names `centers_from_json` reads it back."""
+    return _centers_json(file.names, file.centers(), file.resolution_bits)
 
 
-def format_centers(names, centers, resolution_bits) -> str:
-    """The center-file JSON of centers in class order; with no names,
-    class j is named `class<j>`. Any class count is written, but
-    `centers_from_json` reads back only files with 2 or more classes."""
+def _centers_json(names, centers, resolution_bits) -> str:
+    # class j without a name is `class<j>`; only the one-mode case of
+    # `trainer.centers_to_file` passes centers no ClassCenterFile holds
     names = names or [f"class{j}" for j in range(len(centers))]
     doc = {
         "resolution_bits": resolution_bits,
@@ -263,15 +270,10 @@ def centers_from_json(text: str) -> ClassCenterFile:
         if (not isinstance(center, list)
                 or not all(type(v) is int for v in center)):
             raise ValueError(f"class {j} center must be a list of integers")
-    names = [c["name"] for c in classes]
-    centers = [c["center"] for c in classes]
-    dims = len(centers[0])
-    for c in centers:
-        if len(c) != dims:
-            raise ValueError("inconsistent center dimensions")
     bits = doc.get("resolution_bits", 8)
     if type(bits) is not int:
         raise ValueError(f"resolution_bits must be an integer, "
                          f"got {_quote(repr(bits), str)}")
-    return ClassCenterFile.from_centers(centers, resolution_bits=bits,
-                                        names=names)
+    return ClassCenterFile.from_centers([c["center"] for c in classes],
+                                        resolution_bits=bits,
+                                        names=[c["name"] for c in classes])

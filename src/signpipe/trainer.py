@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdc import format_centers
+from .mdc import ClassCenterFile, _centers_json, centers_to_json
 
 # elements of each (seeds x distinct values) buffer of a step: 2 MB of
 # float64, whatever the sample count
@@ -186,8 +186,10 @@ def centers_to_file(result: ClusterResult, names) -> str:
     with no names, class j is `class<j>`.
 
     Class order follows the result's descending-support order (ties break
-    by ascending Cb, then Cr). A single mode is written too, but the
-    classifier needs 2 classes, so `mdc.centers_from_json` refuses it."""
-    if names and len(names) != len(result.modes):
-        raise ValueError(f"{len(names)} names for {len(result.modes)} modes")
-    return format_centers(names, result.modes, 8)
+    by ascending Cb, then Cr). The modes pass `ClassCenterFile`'s rules,
+    but one mode alone, which `perfbench/worker.py`'s uniform warm-up
+    frame trains to, is still written, as a file no reader accepts."""
+    if len(result.modes) == 1 and (not names or len(names) == 1):
+        return _centers_json(names, result.modes, 8)
+    return centers_to_json(ClassCenterFile.from_centers(
+        result.modes, names=names or None))

@@ -316,6 +316,8 @@ REPORT_FLAG_REFUSALS = [
      "bandwidth must be finite and > 0, got 1e+308"),
     (["train", "{frame}", "--bandwidth", "2"],
      "num_classes must be >= 2, got 1"),
+    (["train", "{tmp}/three_modes.ppm", "--names", "a,b"],
+     "names length must equal num_classes: 2 names for 3 classes"),
     (["latency", "--classes", "1"], "num_classes must be >= 2, got 1"),
     (["latency", "--clock-mhz", "nan"],
      "frequency must be finite and > 0, got nan"),
@@ -346,6 +348,8 @@ REPORT_FLAG_REFUSALS = [
      "number 99999999999999999999... (5001 long) is too long"),
     (["detect", "{frame}", "--centers", "{tmp}/huge_bits.json"],
      "number 99999999999999999999... (5001 long) is too long"),
+    (["latency", "--dims", "9" * 5000],
+     "invalid int value: '99999999999999999999'... (5000 long)"),
     (["latency", "--dims", "9" * 4300],
      "--dims is too large: its latency passes 4300 digits"),
     (["synth", "{tmp}/s.ppm", "--radius", "-5"],
@@ -370,13 +374,14 @@ REPORT_FLAG_REFUSALS = [
         "color_labels_without_seg", "unwritable_output",
         "zero_bandwidth", "nan_bandwidth", "infinite_bandwidth",
         "huge_bandwidth",
-        "single_mode", "one_class", "nan_latency_clock",
+        "single_mode", "names_count", "one_class", "nan_latency_clock",
         "infinite_latency_clock", "latency_frame_too_large", "zero_width",
         "verify_output_flag",
         "ablate_output_flag", "area_not_an_integer", "unknown_flag",
         "truncated_frame", "deeply_nested_centers", "long_center_value",
         "long_resolution_bits", "long_sides_p6", "long_sides_p3",
-        "huge_center_value", "huge_resolution_bits", "latency_huge_dims",
+        "huge_center_value", "huge_resolution_bits", "latency_dims_past_int",
+        "latency_huge_dims",
         "negative_radius",
         "negative_ring", "nan_sigma", "negative_sigma", "width_above_bound",
         "height_above_bound", "negative_seed"]
@@ -401,6 +406,9 @@ def test_bad_input_exits_with_one_line(argv, fragment, frame_path, tmp_path):
             f'{{"resolution_bits": {bits}, "classes": ['
             f'{{"name": "a", "center": [{first}, 1]}}, '
             f'{{"name": "b", "center": [1, 2]}}]}}')
+    # three modes at the default bandwidth
+    (tmp_path / "three_modes.ppm").write_bytes(
+        save_pnm(disc_frame(64, 64, 16, 6, sigma=4)))
     side = b"1" * 2201
     for magic in ("p6", "p3"):
         (tmp_path / f"long_sides_{magic}.ppm").write_bytes(
@@ -477,6 +485,25 @@ def test_each_subcommand_takes_only_the_flags_it_reads(capsys):
                                 re.MULTILINE)
     assert taken == FLAGS
     assert sum(map(len, taken.values())) == 49
+
+
+# the flags that take no number
+TEXT_FLAGS = {"--centers", "--no-gaussian", "--no-median", "--out-seg",
+              "--out-annotated", "--out-report", "--color-labels", "--names",
+              "--out-centers"}
+
+
+@pytest.mark.parametrize("sub, flag", [
+    (sub, flag) for sub, flags in FLAGS.items() for flag in flags
+    if flag not in TEXT_FLAGS])
+def test_long_bad_number_is_quoted_short(sub, flag, tmp_path):
+    path = [] if sub == "latency" else [str(tmp_path / "frame.ppm")]
+    with pytest.raises(SystemExit) as exc:
+        main([sub, *path, flag, "x" * 5000])
+    message = exc.value.code
+    assert isinstance(message, str) and message.startswith("signpipe: ")
+    assert "\n" not in message and len(message.encode()) < 120
+    assert "(5000 long)" in message
 
 
 def test_bad_flag_in_subprocess(frame_path):

@@ -82,13 +82,23 @@ class TestRegisterFile:
      "cell 1 value 256 exceeds 8-bit range"),
     (lambda: ClassCenterFile(1, 2, names=["a"]),
      "names length must equal num_classes"),
+    (lambda: ClassCenterFile.from_centers([(1, 2), (3, 4)],
+                                          names=["a", "b", "c"]),
+     "names length must equal num_classes: 3 names for 2 classes"),
+    # not regrouped into [[1, 2], [3, 4], [5, 6]]
+    (lambda: ClassCenterFile.from_centers([[1, 2], [3], [4, 5, 6]]),
+     "inconsistent center dimensions"),
+    # the write port refuses a cell as the constructor does
+    (lambda: program_center(ClassCenterFile(1, 2), 0, 256),
+     "cell 0 value 256 exceeds 8-bit range"),
     (lambda: ClassCenterFile(1, 2).center(2), "class index 2 out of range"),
     (lambda: simulate_pipeline(PipelineModel(2, 2), ClassCenterFile(2, 2),
                                [(1, 2), (1, 2, 3)]),
      "schedule entry at cycle 1 has length 3, expected 2"),
     (lambda: estimate_frame_rate(170e6, 0, 630), "dimensions must be positive"),
-], ids=["zero_dims", "cell_above_range", "names_length", "class_past_end",
-        "schedule_entry_length", "zero_width"])
+], ids=["zero_dims", "cell_above_range", "names_length",
+        "names_length_counts", "ragged_centers", "program_above_range",
+        "class_past_end", "schedule_entry_length", "zero_width"])
 def test_error_message(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
@@ -313,6 +323,17 @@ class TestCenterFileFormat:
         assert g.cells == f.cells
         assert g.names == f.names
         assert g.resolution_bits == f.resolution_bits
+
+    @given(center_files(), st.data())
+    def test_every_written_file_reads_back(self, f, data):
+        names = data.draw(st.none() | st.lists(
+            st.text(), min_size=f.num_classes, max_size=f.num_classes))
+        f = ClassCenterFile(f.dims, f.num_classes, 8, f.cells, names)
+        g = centers_from_json(centers_to_json(f))
+        assert ((g.dims, g.num_classes, g.resolution_bits, g.cells)
+                == (f.dims, f.num_classes, f.resolution_bits, f.cells))
+        assert g.names == (f.names
+                           or [f"class{j}" for j in range(f.num_classes)])
 
     def test_class_order_defines_labels(self):
         text = centers_to_json(default_file())

@@ -228,6 +228,13 @@ class TestCentersToFile:
         assert f.centers() == [list(m) for m in modes]
         assert centers_from_json(centers_to_json(f)).cells == f.cells
 
+    @given(st.lists(st.tuples(st.integers(0, 255), st.integers(0, 255)),
+                    min_size=2, max_size=8))
+    def test_trained_modes_read_back(self, modes):
+        result = ClusterResult(modes, [1] * len(modes))
+        f = centers_from_json(centers_to_file(result, None))
+        assert f.centers() == [list(m) for m in modes]
+
     def test_single_mode_raises(self):
         # written, but the classifier needs 2 classes, so reading it back
         # (as `detect` does) raises
