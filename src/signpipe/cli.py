@@ -33,6 +33,8 @@ def _number(kind):
     """An argparse type whose error quotes at most 20 bytes of the token."""
     def parse(text):
         try:
+            if kind is int and sum(map(str.isdigit, text)) > 20:
+                raise ValueError  # more than any flag needs; errors echo it
             return kind(text)
         except ValueError:
             raise argparse.ArgumentTypeError(
@@ -62,7 +64,7 @@ def _add_report_args(p):
     p.add_argument("--out-seg", help="write the label image here (PPM)")
     p.add_argument("--out-annotated", help="write the annotated frame here (PPM)")
     p.add_argument("--out-report", help="write the JSON report here")
-    p.add_argument("--color-labels", action="store_true",
+    p.add_argument("--color-labels", action="store_true", default=None,
                    help="render labels with a color palette instead of grays")
 
 
@@ -71,13 +73,18 @@ def _given(args, *names):
     return {n: v for n in names if (v := getattr(args, n, None)) is not None}
 
 
+# the outputs that read each flag; `detect` also prints what the rule finds
+_RULE_FLAGS = ["area_min", "ratio_min", "ratio_max", "target_class"]
+_NEEDS = {"color_labels": ["out_seg"], "clock_mhz": ["out_report"],
+          **dict.fromkeys(_RULE_FLAGS, ["out_report", "out_annotated"])}
+
+
 def _config_from(args):
     given = _given(args, "skip_classes", "clock_mhz")
     if args.centers:
         given["centers"] = centers_from_json(
             Path(args.centers).read_text(encoding="utf-8"))
-    rule = DetectionRule(**_given(args, "target_class", "ratio_min",
-                                  "ratio_max", "area_min"))
+    rule = DetectionRule(**_given(args, *_RULE_FLAGS))
     return PipelineConfig(gaussian=not args.no_gaussian,
                           median=not args.no_median, rule=rule, **given)
 
@@ -89,14 +96,14 @@ def _load_frame(path):
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def _run_frame(args):
-    """Run the chain on `args.image`; write the outputs asked for."""
+def _run_frame(args, printed=()):
+    """Run the chain on `args.image`; write the outputs asked for. A given
+    flag that none of them reads is refused, unless it is in `printed`."""
     config = _config_from(args)
-    # each is read by one output only; refuse it without that output
-    if args.color_labels and not args.out_seg:
-        raise ValueError("--color-labels needs --out-seg")
-    if args.clock_mhz is not None and not args.out_report:
-        raise ValueError("--clock-mhz needs --out-report")
+    for flag in _given(args, *(f for f in _NEEDS if f not in printed)):
+        if not any(map(vars(args).get, _NEEDS[flag])):
+            raise ValueError(f"--{flag} needs --{' or --'.join(_NEEDS[flag])}"
+                             .replace("_", "-"))
     report, artifacts = run_pipeline(config, _load_frame(args.image), args.image)
     if args.out_seg:
         Path(args.out_seg).write_bytes(save_pnm(render_labels(
@@ -118,7 +125,7 @@ def cmd_segment(args):
 
 
 def cmd_detect(args):
-    report = _run_frame(args)
+    report = _run_frame(args, printed=_RULE_FLAGS)
     print(f"components: {len(report.components)}")
     print(f"detections: {len(report.detections)}")
     for d in report.detections:
@@ -153,8 +160,6 @@ def cmd_ablate(args):
 
 def cmd_latency(args):
     model = PipelineModel(args.dims, args.classes)
-    if model.latency >= 10 ** 4300:  # more digits than Python prints
-        raise ValueError("--dims is too large: its latency passes 4300 digits")
     fps = estimate_frame_rate(args.clock_mhz * 1e6, args.width, args.height)
     print(f"latency: {model.latency} cycles "
           f"(3*{args.dims} + ceil(log2 {args.classes}))")

@@ -26,11 +26,9 @@ DEFAULT_NAMES = ("background", "yellow", "red_low", "red_high")
 
 @dataclass
 class ClassCenterFile:
-    """Flat register file of class-center components.
-
-    cells[j * dims + d] holds dimension d of class j's center; every
-    value must fit in resolution_bits.
-    """
+    """Flat register file of class-center components: cells[j * dims + d]
+    holds dimension d of class j. `PipelineModel` checks the shape; each
+    cell must be an int that fits in resolution_bits, each name a str."""
     dims: int
     num_classes: int
     resolution_bits: int = 8
@@ -38,15 +36,9 @@ class ClassCenterFile:
     names: list = None
 
     def __post_init__(self):
-        if self.num_classes < 2:
-            raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
-        if self.dims < 1:
-            raise ValueError("dims must be >= 1")
-        if not 1 <= self.resolution_bits <= 32:
-            raise ValueError("resolution_bits must be in [1, 32]")
+        PipelineModel(self.dims, self.num_classes, self.resolution_bits)
         n = self.dims * self.num_classes
-        if self.cells is None:
-            self.cells = [0] * n
+        self.cells = [0] * n if self.cells is None else self.cells
         if len(self.cells) != n:
             raise ValueError(f"expected {n} cells, got {len(self.cells)}")
         for i, v in enumerate(self.cells):
@@ -55,20 +47,25 @@ class ClassCenterFile:
             raise ValueError(f"names length must equal num_classes: "
                              f"{len(self.names)} names for "
                              f"{self.num_classes} classes")
+        for j, name in enumerate(self.names or ()):
+            if type(name) is not str:
+                raise ValueError(f"class {j} name must be a string")
 
     def _check_cell(self, i, v):
-        """Refuse value v for cell i unless it fits in resolution_bits."""
+        """Refuse value v for cell i unless it is an int in resolution_bits."""
+        if type(v) is not int:
+            raise ValueError(f"cell {i} must be an int, not {type(v).__name__}")
         if not 0 <= v < (1 << self.resolution_bits):
             raise ValueError(f"cell {i} value {_quote(str(v), str)} "
                              f"exceeds {self.resolution_bits}-bit range")
 
     @classmethod
     def from_centers(cls, centers, resolution_bits=8, names=None):
-        # an empty list fails the class-count check
-        dims = len(centers[0]) if centers else 0
+        """The file of `centers`, one per class, each value as given."""
+        dims = len(centers[0]) if centers else 0  # [] fails the class count
         if any(len(center) != dims for center in centers):
             raise ValueError("inconsistent center dimensions")
-        cells = [int(v) for center in centers for v in center]
+        cells = [v for center in centers for v in center]
         return cls(dims, len(centers), resolution_bits, cells, names)
 
     def center(self, j):
@@ -135,15 +132,21 @@ def classify_image(file: ClassCenterFile, img: ImageCbCr) -> ImageGray:
 
 @dataclass
 class PipelineModel:
+    """Classifier shape (D, C, bits), checked here only: ints, not bools."""
     dims: int
     num_classes: int
     resolution_bits: int = 8
 
     def __post_init__(self):
-        if self.num_classes < 2:
-            raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
-        if self.dims < 1:
-            raise ValueError(f"dims must be >= 1, got {self.dims}")
+        for v, low, rule in [(self.num_classes, 2, "num_classes must be >= 2"),
+                             (self.dims, 1, "dims must be >= 1")]:
+            if type(v) is not int or v < low:
+                raise ValueError(f"{rule}, got {_quote(repr(v), str)}")
+        if type(self.resolution_bits) is not int:
+            raise ValueError(f"resolution_bits must be an integer, "
+                             f"got {_quote(repr(self.resolution_bits), str)}")
+        if not 1 <= self.resolution_bits <= 32:
+            raise ValueError("resolution_bits must be in [1, 32]")
 
     @property
     def selection_levels(self):
@@ -253,7 +256,8 @@ def _json_int(digits):
 
 
 def centers_from_json(text: str) -> ClassCenterFile:
-    """Parse a center file; a malformed document raises ValueError."""
+    """Parse a center file. This checks the JSON structure; the values are
+    checked by `ClassCenterFile`. Any fault raises ValueError."""
     try:
         doc = json.loads(text, parse_int=_json_int)
     except RecursionError:
@@ -262,18 +266,9 @@ def centers_from_json(text: str) -> ClassCenterFile:
     if not isinstance(classes, list) or not classes:
         raise ValueError('center file needs a non-empty "classes" list')
     for j, c in enumerate(classes):
-        if not isinstance(c, dict) or "name" not in c or "center" not in c:
-            raise ValueError(f'class {j} needs a "name" and a "center"')
-        if not isinstance(c["name"], str):
-            raise ValueError(f"class {j} name must be a string")
-        center = c["center"]
-        if (not isinstance(center, list)
-                or not all(type(v) is int for v in center)):
-            raise ValueError(f"class {j} center must be a list of integers")
-    bits = doc.get("resolution_bits", 8)
-    if type(bits) is not int:
-        raise ValueError(f"resolution_bits must be an integer, "
-                         f"got {_quote(repr(bits), str)}")
-    return ClassCenterFile.from_centers([c["center"] for c in classes],
-                                        resolution_bits=bits,
-                                        names=[c["name"] for c in classes])
+        if not (isinstance(c, dict) and "name" in c
+                and isinstance(c.get("center"), list)):
+            raise ValueError(f'class {j} needs a "name" and a "center" list')
+    return ClassCenterFile.from_centers(
+        [c["center"] for c in classes], doc.get("resolution_bits", 8),
+        [c["name"] for c in classes])

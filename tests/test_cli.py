@@ -11,6 +11,7 @@ from signpipe import pipeline
 from signpipe.cli import main
 from signpipe.detector import annotate
 from signpipe.image import load_pnm, rgb_to_cbcr, save_pnm
+from signpipe.mdc import ClassCenterFile, centers_to_json
 from signpipe.pipeline import PipelineConfig, run_pipeline
 from signpipe.synthetic import background_frame, disc_frame
 from signpipe.trainer import MeanShiftConfig, centers_to_file, mean_shift
@@ -304,6 +305,10 @@ REPORT_FLAG_REFUSALS = [
      "--clock-mhz needs --out-report"),
     (["segment", "{frame}", "--color-labels", "--out-report", "{tmp}/r.json"],
      "--color-labels needs --out-seg"),
+    (["segment", "{frame}", "--area-min", "5"],
+     "--area-min needs --out-report or --out-annotated"),
+    (["segment", "{frame}", "--ratio-max", "2", "--out-seg", "{tmp}/s.ppm"],
+     "--ratio-max needs --out-report or --out-annotated"),
     (["detect", "{frame}", "--out-report", "{tmp}/no/such/dir/r.json"],
      "No such file or directory"),
     (["train", "{frame}", "--bandwidth", "0"],
@@ -323,7 +328,9 @@ REPORT_FLAG_REFUSALS = [
      "frequency must be finite and > 0, got nan"),
     (["latency", "--clock-mhz", "inf"],
      "frequency must be finite and > 0, got inf"),
-    (["latency", "--width", "1" + "0" * 400], "x630 is too large"),
+    (["latency", "--width", "1" + "0" * 400],
+     "argument --width: invalid int value: '10000000000000000000'... "
+     "(401 long)"),
     (["synth", "{tmp}/s.ppm", "--width", "0"],
      "image dimensions must be >= 1, got 0x200"),
     (["verify", "{frame}", "--out-report", "{tmp}/r.json"],
@@ -351,7 +358,8 @@ REPORT_FLAG_REFUSALS = [
     (["latency", "--dims", "9" * 5000],
      "invalid int value: '99999999999999999999'... (5000 long)"),
     (["latency", "--dims", "9" * 4300],
-     "--dims is too large: its latency passes 4300 digits"),
+     "argument --dims: invalid int value: '99999999999999999999'... "
+     "(4300 long)"),
     (["synth", "{tmp}/s.ppm", "--radius", "-5"],
      "radius and ring must be >= 0, got -5 and 10"),
     (["synth", "{tmp}/s.ppm", "--ring", "-100"],
@@ -371,7 +379,8 @@ REPORT_FLAG_REFUSALS = [
         "target_class_range", "both_class_flags", "negative_target",
         "center_without_name", "missing_center_file", "zero_clock",
         "infinite_clock", "infinite_clock_ablate", "clock_without_report",
-        "color_labels_without_seg", "unwritable_output",
+        "color_labels_without_seg", "segment_rule_without_output",
+        "segment_rule_with_seg_only", "unwritable_output",
         "zero_bandwidth", "nan_bandwidth", "infinite_bandwidth",
         "huge_bandwidth",
         "single_mode", "names_count", "one_class", "nan_latency_clock",
@@ -504,6 +513,63 @@ def test_long_bad_number_is_quoted_short(sub, flag, tmp_path):
     assert isinstance(message, str) and message.startswith("signpipe: ")
     assert "\n" not in message and len(message.encode()) < 120
     assert "(5000 long)" in message
+
+
+# a token of 21 digits and more is refused as it is parsed: no library
+# message echoes it, and no numpy call sees it
+LONG_INT_FLAGS = [("latency", "--classes"), ("latency", "--dims"),
+                  ("segment", "--skip-class"), ("detect", "--target-class"),
+                  ("train", "--seed-stride"), ("synth", "--seed"),
+                  ("synth", "--radius"), ("synth", "--ring"),
+                  ("synth", "--width"), ("synth", "--height")]
+
+
+@pytest.mark.parametrize("sub, flag", LONG_INT_FLAGS)
+@pytest.mark.parametrize("digits", [21, 4000])
+def test_long_int_is_refused_as_it_is_parsed(sub, flag, digits, tmp_path):
+    path = [] if sub == "latency" else [str(tmp_path / "frame.ppm")]
+    with pytest.raises(SystemExit) as exc:
+        main([sub, *path, flag, "-" + "9" * digits])
+    message = exc.value.code
+    assert message.startswith(f"signpipe: argument {flag}: invalid int value")
+    assert "\n" not in message and len(message.encode()) < 120
+
+
+def test_twenty_digits_still_parse(capsys):
+    assert main(["latency", "--dims", "9" * 20]) == 0
+    assert f"latency: {3 * int('9' * 20) + 2} cycles" in capsys.readouterr().out
+
+
+# a value for each flag of `segment` and `detect` that is not an output
+# flag, chosen to change what a run on a noisy disc frame prints
+FLAG_VALUES = {"--centers": ["{swapped}"], "--no-gaussian": [],
+               "--no-median": [], "--skip-class": ["3"],
+               "--area-min": ["5000"], "--ratio-min": ["2"],
+               "--ratio-max": ["0.9"], "--target-class": ["2"],
+               "--clock-mhz": ["200"], "--color-labels": []}
+
+
+@pytest.mark.parametrize("sub, flag", [
+    (sub, flag) for sub in ("segment", "detect") for flag in FLAGS[sub]
+    if not flag.startswith("--out-")])
+def test_no_flag_is_silently_ignored(sub, flag, tmp_path, capsys):
+    # with no output flag, a flag either changes stdout or is refused
+    frame, swapped = tmp_path / "noisy.ppm", tmp_path / "swapped.json"
+    frame.write_bytes(save_pnm(disc_frame(sigma=6.0, seed=42)))
+    # yellow and red_low trade class indices
+    swapped.write_text(centers_to_json(ClassCenterFile.from_centers(
+        [(127, 128), (116, 157), (88, 151), (109, 180)])))
+    assert main([sub, str(frame)]) == 0
+    plain = capsys.readouterr().out
+    values = [v.format(swapped=swapped) for v in FLAG_VALUES[flag]]
+    try:
+        rc = main([sub, str(frame), flag, *values])
+    except SystemExit as exc:
+        # a string code: one stderr line and exit status 1
+        assert re.fullmatch(rf"signpipe: {flag} needs --out-[a-z -]+",
+                            exc.code)
+    else:
+        assert rc == 0 and capsys.readouterr().out != plain
 
 
 def test_bad_flag_in_subprocess(frame_path):

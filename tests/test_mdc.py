@@ -96,9 +96,36 @@ class TestRegisterFile:
                                [(1, 2), (1, 2, 3)]),
      "schedule entry at cycle 1 has length 3, expected 2"),
     (lambda: estimate_frame_rate(170e6, 0, 630), "dimensions must be positive"),
+    (lambda: estimate_frame_rate(170e6, 10 ** 400, 630),
+     "frame size 10000000000000000000... (401 long)x630 is too large"),
+    # values reach the checks as given: not truncated, parsed or cast
+    (lambda: ClassCenterFile.from_centers([[1.5, 2], [3, 4]]),
+     "cell 0 must be an int, not float"),
+    (lambda: ClassCenterFile.from_centers([["7", 2], [3, 4]]),
+     "cell 0 must be an int, not str"),
+    (lambda: ClassCenterFile(1, 2, 8, [0, True]),
+     "cell 1 must be an int, not bool"),
+    (lambda: program_center(ClassCenterFile(2, 2), 0, np.int64(5)),
+     "cell 0 must be an int, not int64"),
+    (lambda: ClassCenterFile(1, 2, names=["a", 3]),
+     "class 1 name must be a string"),
+    # the shape rules are PipelineModel's, for both classes
+    (lambda: ClassCenterFile(2, 2, True),
+     "resolution_bits must be an integer, got True"),
+    (lambda: ClassCenterFile(2, 2, 8.0),
+     "resolution_bits must be an integer, got 8.0"),
+    (lambda: ClassCenterFile(2.0, 2), "dims must be >= 1, got 2.0"),
+    (lambda: PipelineModel(2.5, 4), "dims must be >= 1, got 2.5"),
+    (lambda: PipelineModel(True, 2), "dims must be >= 1, got True"),
+    (lambda: PipelineModel(2, 3.0), "num_classes must be >= 2, got 3.0"),
+    (lambda: PipelineModel(2, 2, 33), "resolution_bits must be in [1, 32]"),
 ], ids=["zero_dims", "cell_above_range", "names_length",
         "names_length_counts", "ragged_centers", "program_above_range",
-        "class_past_end", "schedule_entry_length", "zero_width"])
+        "class_past_end", "schedule_entry_length", "zero_width",
+        "frame_past_float", "float_cell", "text_cell", "bool_cell",
+        "program_numpy_cell", "int_name", "bool_bits", "float_bits",
+        "float_dims", "fractional_model_dims", "bool_model_dims",
+        "float_model_classes", "model_bits_above_32"])
 def test_error_message(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
@@ -329,6 +356,40 @@ class TestCenterFileFormat:
         names = data.draw(st.none() | st.lists(
             st.text(), min_size=f.num_classes, max_size=f.num_classes))
         f = ClassCenterFile(f.dims, f.num_classes, 8, f.cells, names)
+        g = centers_from_json(centers_to_json(f))
+        assert ((g.dims, g.num_classes, g.resolution_bits, g.cells)
+                == (f.dims, f.num_classes, f.resolution_bits, f.cells))
+        assert g.names == (f.names
+                           or [f"class{j}" for j in range(f.num_classes)])
+
+    @given(st.integers(1, 3), st.integers(2, 4), st.data())
+    @settings(max_examples=300)
+    def test_a_built_file_is_refused_or_reads_back(self, dims, classes, data):
+        # built from loosely typed values, a file is refused as it is built
+        # or programmed, never when it is written or read back
+        odd = (st.floats() | st.booleans() | st.text(max_size=3)
+               | st.integers(0, 255).map(np.int64) | st.none())
+        # each draw leans to a valid value, so both outcomes are common
+        ints = st.integers(0, 255) | st.integers(-2, 300)
+        n = dims * classes
+        cells = data.draw(st.lists(ints, min_size=n, max_size=n))
+        for i, v in data.draw(st.dictionaries(st.integers(0, n - 1), odd,
+                                              max_size=2)).items():
+            cells[i] = v
+        names = data.draw(st.none() | st.lists(
+            st.text(max_size=3), min_size=classes, max_size=classes)
+            | st.lists(st.text(max_size=3) | st.integers(), min_size=classes,
+                       max_size=classes))
+        bits = data.draw(st.integers(8, 32) | st.integers(0, 40)
+                         | st.booleans() | st.floats())
+        writes = data.draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                              ints | odd), max_size=3))
+        try:
+            f = ClassCenterFile(dims, classes, bits, cells, names)
+            for addr, v in writes:
+                program_center(f, addr, v)
+        except ValueError:
+            return
         g = centers_from_json(centers_to_json(f))
         assert ((g.dims, g.num_classes, g.resolution_bits, g.cells)
                 == (f.dims, f.num_classes, f.resolution_bits, f.cells))
