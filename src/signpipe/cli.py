@@ -1,8 +1,8 @@
 """Command-line front end for the detection pipeline.
 
 Subcommands:
-  segment  classify a frame and write the label image
-  detect   run the full chain and write detections + annotated frame
+  detect   run the full chain; print class counts, components and
+           detections, and write the label image, annotated frame or report
   train    mean-shift a frame's chroma samples into a center file
   ablate   component counts with no filters against the configured ones
   latency  print the classifier latency formula and estimated FPS
@@ -55,28 +55,14 @@ def _add_config_args(p):
                    help="class index to exclude from labeling (repeatable)")
 
 
-def _add_report_args(p):
-    p.add_argument("--area-min", type=_number(int))
-    p.add_argument("--ratio-min")
-    p.add_argument("--ratio-max")
-    p.add_argument("--target-class", type=_number(int))
-    p.add_argument("--clock-mhz", type=_number(float))
-    p.add_argument("--out-seg", help="write the label image here (PPM)")
-    p.add_argument("--out-annotated", help="write the annotated frame here (PPM)")
-    p.add_argument("--out-report", help="write the JSON report here")
-    p.add_argument("--color-labels", action="store_true", default=None,
-                   help="render labels with a color palette instead of grays")
-
-
 def _given(args, *names):
     """The named flags that were given; the library defaults the rest."""
     return {n: v for n in names if (v := getattr(args, n, None)) is not None}
 
 
-# the outputs that read each flag; `detect` also prints what the rule finds
 _RULE_FLAGS = ["area_min", "ratio_min", "ratio_max", "target_class"]
-_NEEDS = {"color_labels": ["out_seg"], "clock_mhz": ["out_report"],
-          **dict.fromkeys(_RULE_FLAGS, ["out_report", "out_annotated"])}
+# the output that reads each flag whose effect `detect` does not print
+_NEEDS = {"color_labels": "out_seg", "clock_mhz": "out_report"}
 
 
 def _config_from(args):
@@ -96,14 +82,11 @@ def _load_frame(path):
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def _run_frame(args, printed=()):
-    """Run the chain on `args.image`; write the outputs asked for. A given
-    flag that none of them reads is refused, unless it is in `printed`."""
+def cmd_detect(args):
     config = _config_from(args)
-    for flag in _given(args, *(f for f in _NEEDS if f not in printed)):
-        if not any(map(vars(args).get, _NEEDS[flag])):
-            raise ValueError(f"--{flag} needs --{' or --'.join(_NEEDS[flag])}"
-                             .replace("_", "-"))
+    for flag, output in _NEEDS.items():
+        if getattr(args, flag) is not None and not getattr(args, output):
+            raise ValueError(f"--{flag} needs --{output}".replace("_", "-"))
     report, artifacts = run_pipeline(config, _load_frame(args.image), args.image)
     if args.out_seg:
         Path(args.out_seg).write_bytes(save_pnm(render_labels(
@@ -113,19 +96,8 @@ def _run_frame(args, printed=()):
     if args.out_report:
         Path(args.out_report).write_text(
             json.dumps(report.to_dict(), indent=2) + "\n")
-    return report
-
-
-def cmd_segment(args):
-    report = _run_frame(args)
     for i, n in enumerate(report.class_pixels):
         print(f"class {i}: {n} pixels")
-    print(f"components: {len(report.components)}")
-    return 0
-
-
-def cmd_detect(args):
-    report = _run_frame(args, printed=_RULE_FLAGS)
     print(f"components: {len(report.components)}")
     print(f"detections: {len(report.detections)}")
     for d in report.detections:
@@ -188,14 +160,24 @@ def main(argv=None):
                      "detection pipeline model")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, fn, doc in [("segment", cmd_segment, "classify a frame"),
-                          ("detect", cmd_detect, "full detection chain"),
-                          ("ablate", cmd_ablate, "filter ablation counts"),
+    p = sub.add_parser("detect", help="full detection chain")
+    _add_config_args(p)
+    p.add_argument("--area-min", type=_number(int))
+    p.add_argument("--ratio-min")
+    p.add_argument("--ratio-max")
+    p.add_argument("--target-class", type=_number(int))
+    p.add_argument("--clock-mhz", type=_number(float))
+    p.add_argument("--out-seg", help="write the label image here (PPM)")
+    p.add_argument("--out-annotated", help="write the annotated frame here (PPM)")
+    p.add_argument("--out-report", help="write the JSON report here")
+    p.add_argument("--color-labels", action="store_true", default=None,
+                   help="render labels with a color palette instead of grays")
+    p.set_defaults(fn=cmd_detect)
+
+    for name, fn, doc in [("ablate", cmd_ablate, "filter ablation counts"),
                           ("verify", cmd_verify, "oracle cross-check")]:
         p = sub.add_parser(name, help=doc)
         _add_config_args(p)
-        if fn in (cmd_segment, cmd_detect):
-            _add_report_args(p)
         p.set_defaults(fn=fn)
 
     p = sub.add_parser("train", help="mean-shift class centers from a frame")

@@ -27,8 +27,8 @@ DEFAULT_NAMES = ("background", "yellow", "red_low", "red_high")
 @dataclass
 class ClassCenterFile:
     """Flat register file of class-center components: cells[j * dims + d]
-    holds dimension d of class j. `PipelineModel` checks the shape; each
-    cell must be an int that fits in resolution_bits, each name a str."""
+    holds dimension d of class j. `PipelineModel` checks the shape; cells
+    is a list of ints that fit in resolution_bits, names a list of strs."""
     dims: int
     num_classes: int
     resolution_bits: int = 8
@@ -39,6 +39,10 @@ class ClassCenterFile:
         PipelineModel(self.dims, self.num_classes, self.resolution_bits)
         n = self.dims * self.num_classes
         self.cells = [0] * n if self.cells is None else self.cells
+        for attr, v in [("cells", self.cells), ("names", self.names)]:
+            if not isinstance(v, (list, type(None))):
+                raise ValueError(f"{attr} must be a list, "
+                                 f"not {type(v).__name__}")
         if len(self.cells) != n:
             raise ValueError(f"expected {n} cells, got {len(self.cells)}")
         for i, v in enumerate(self.cells):
@@ -62,6 +66,10 @@ class ClassCenterFile:
     @classmethod
     def from_centers(cls, centers, resolution_bits=8, names=None):
         """The file of `centers`, one per class, each value as given."""
+        for j, center in enumerate(centers):
+            if not isinstance(center, (list, tuple)):
+                raise ValueError(f"center {j} must be a list or tuple, "
+                                 f"not {type(center).__name__}")
         dims = len(centers[0]) if centers else 0  # [] fails the class count
         if any(len(center) != dims for center in centers):
             raise ValueError("inconsistent center dimensions")
@@ -69,6 +77,9 @@ class ClassCenterFile:
         return cls(dims, len(centers), resolution_bits, cells, names)
 
     def center(self, j):
+        if type(j) is not int:
+            raise ValueError(f"class index must be an int, "
+                             f"not {type(j).__name__}")
         if not 0 <= j < self.num_classes:
             raise ValueError(f"class index {j} out of range")
         return self.cells[j * self.dims:(j + 1) * self.dims]
@@ -79,6 +90,8 @@ class ClassCenterFile:
 
 def program_center(file: ClassCenterFile, addr, value):
     """Write one register cell; refuses out-of-range addresses or values."""
+    if type(addr) is not int:
+        raise ValueError(f"address must be an int, not {type(addr).__name__}")
     if not 0 <= addr < len(file.cells):
         raise ValueError(f"address {addr} out of range [0, {len(file.cells)})")
     file._check_cell(addr, value)
@@ -138,10 +151,11 @@ class PipelineModel:
     resolution_bits: int = 8
 
     def __post_init__(self):
-        for v, low, rule in [(self.num_classes, 2, "num_classes must be >= 2"),
-                             (self.dims, 1, "dims must be >= 1")]:
+        for v, low, name in [(self.num_classes, 2, "num_classes"),
+                             (self.dims, 1, "dims")]:
             if type(v) is not int or v < low:
-                raise ValueError(f"{rule}, got {_quote(repr(v), str)}")
+                raise ValueError(f"{name} must be an int >= {low}, "
+                                 f"got {_quote(repr(v), str)}")
         if type(self.resolution_bits) is not int:
             raise ValueError(f"resolution_bits must be an integer, "
                              f"got {_quote(repr(self.resolution_bits), str)}")

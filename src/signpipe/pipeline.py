@@ -43,6 +43,8 @@ class PipelineConfig:
     def __post_init__(self):
         if self.centers.dims != 2:
             raise ValueError("pipeline needs 2-dimensional (Cb, Cr) centers")
+        if (bits := self.centers.resolution_bits) != 8:
+            raise ValueError(f"pipeline needs 8-bit centers, got {bits}-bit")
         if not (math.isfinite(self.clock_mhz) and self.clock_mhz > 0):
             raise ValueError(f"clock_mhz must be finite and > 0, "
                              f"got {self.clock_mhz}")

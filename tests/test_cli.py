@@ -62,10 +62,18 @@ def test_report_deterministic(frame_path, tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_segment_prints_class_counts(frame_path, capsys):
-    assert main(["segment", str(frame_path)]) == 0
-    out = capsys.readouterr().out
-    assert "class 0:" in out and "class 3:" in out
+def test_detect_prints_class_counts_then_components_then_detections(
+        frame_path, capsys):
+    assert main(["detect", str(frame_path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    report, _ = run_pipeline(PipelineConfig(),
+                             load_pnm(frame_path.read_bytes()))
+    assert out[:6] == [f"class {i}: {n} pixels"
+                       for i, n in enumerate(report.class_pixels)] + [
+        f"components: {len(report.components)}",
+        f"detections: {len(report.detections)}"]
+    assert len(out) == 6 + len(report.detections)
+    assert all(line.startswith("  component ") for line in out[6:])
 
 
 def test_detection_flags_respected(frame_path, tmp_path):
@@ -200,7 +208,7 @@ def test_verify_names_the_stage_at_fault(stage, toggle, tmp_path, capsys,
 
 def test_color_labels_writes_the_palette_image(frame_path, tmp_path):
     seg_path = tmp_path / "seg.ppm"
-    assert main(["segment", str(frame_path), "--out-seg", str(seg_path),
+    assert main(["detect", str(frame_path), "--out-seg", str(seg_path),
                  "--color-labels"]) == 0
     _, artifacts = run_pipeline(PipelineConfig(),
                                 load_pnm(frame_path.read_bytes()))
@@ -267,7 +275,7 @@ def test_missing_file_exits(tmp_path):
 
 
 # the rule flags and --clock-mhz: read only by the report, the annotated
-# frame and the printed detections, so only segment and detect take them
+# frame and the printed detections, so only detect takes them
 REPORT_FLAG_REFUSALS = [
     ([sub, "{frame}", flag, value], f"unrecognized arguments: {flag} {value}")
     for sub in ("ablate", "verify")
@@ -289,7 +297,7 @@ REPORT_FLAG_REFUSALS = [
     (["detect", "{frame}", "--target-class", "9"], "target class 9 is not"),
     (["detect", "{frame}", "--skip-class", "9", "--target-class", "9"],
      "skip class 9 is not"),
-    (["segment", "{frame}", "--target-class", "-1"], "target class -1 is not"),
+    (["detect", "{frame}", "--target-class", "-1"], "target class -1 is not"),
     (["detect", "{frame}", "--centers", "{no_name}"],
      'class 0 needs a "name"'),
     (["detect", "{frame}", "--centers", "{tmp}/missing.json"],
@@ -303,12 +311,10 @@ REPORT_FLAG_REFUSALS = [
      "unrecognized arguments: --clock-mhz"),
     (["detect", "{frame}", "--clock-mhz", "200", "--out-seg", "{tmp}/s.ppm"],
      "--clock-mhz needs --out-report"),
-    (["segment", "{frame}", "--color-labels", "--out-report", "{tmp}/r.json"],
+    (["detect", "{frame}", "--color-labels", "--out-report", "{tmp}/r.json"],
      "--color-labels needs --out-seg"),
-    (["segment", "{frame}", "--area-min", "5"],
-     "--area-min needs --out-report or --out-annotated"),
-    (["segment", "{frame}", "--ratio-max", "2", "--out-seg", "{tmp}/s.ppm"],
-     "--ratio-max needs --out-report or --out-annotated"),
+    (["detect", "{frame}", "--centers", "{tmp}/four_bit.json"],
+     "pipeline needs 8-bit centers, got 4-bit"),
     (["detect", "{frame}", "--out-report", "{tmp}/no/such/dir/r.json"],
      "No such file or directory"),
     (["train", "{frame}", "--bandwidth", "0"],
@@ -320,10 +326,10 @@ REPORT_FLAG_REFUSALS = [
     (["train", "{frame}", "--bandwidth", "1e308"],
      "bandwidth must be finite and > 0, got 1e+308"),
     (["train", "{frame}", "--bandwidth", "2"],
-     "num_classes must be >= 2, got 1"),
+     "num_classes must be an int >= 2, got 1"),
     (["train", "{tmp}/three_modes.ppm", "--names", "a,b"],
      "names length must equal num_classes: 2 names for 3 classes"),
-    (["latency", "--classes", "1"], "num_classes must be >= 2, got 1"),
+    (["latency", "--classes", "1"], "num_classes must be an int >= 2, got 1"),
     (["latency", "--clock-mhz", "nan"],
      "frequency must be finite and > 0, got nan"),
     (["latency", "--clock-mhz", "inf"],
@@ -341,6 +347,7 @@ REPORT_FLAG_REFUSALS = [
      "argument --area-min: invalid int value: 'abc'"),
     (["detect", "{frame}", "--no-such-flag"],
      "unrecognized arguments: --no-such-flag"),
+    (["segment", "{frame}"], "invalid choice: 'segment'"),
     (["detect", "{tmp}/truncated.ppm"], "truncated payload"),
     (["detect", "{frame}", "--centers", "{tmp}/deep.json"],
      "center file is nested too deeply"),
@@ -379,14 +386,14 @@ REPORT_FLAG_REFUSALS = [
         "target_class_range", "both_class_flags", "negative_target",
         "center_without_name", "missing_center_file", "zero_clock",
         "infinite_clock", "infinite_clock_ablate", "clock_without_report",
-        "color_labels_without_seg", "segment_rule_without_output",
-        "segment_rule_with_seg_only", "unwritable_output",
+        "color_labels_without_seg", "four_bit_centers", "unwritable_output",
         "zero_bandwidth", "nan_bandwidth", "infinite_bandwidth",
         "huge_bandwidth",
         "single_mode", "names_count", "one_class", "nan_latency_clock",
         "infinite_latency_clock", "latency_frame_too_large", "zero_width",
         "verify_output_flag",
         "ablate_output_flag", "area_not_an_integer", "unknown_flag",
+        "no_segment_subcommand",
         "truncated_frame", "deeply_nested_centers", "long_center_value",
         "long_resolution_bits", "long_sides_p6", "long_sides_p3",
         "huge_center_value", "huge_resolution_bits", "latency_dims_past_int",
@@ -415,6 +422,9 @@ def test_bad_input_exits_with_one_line(argv, fragment, frame_path, tmp_path):
             f'{{"resolution_bits": {bits}, "classes": ['
             f'{{"name": "a", "center": [{first}, 1]}}, '
             f'{{"name": "b", "center": [1, 2]}}]}}')
+    (tmp_path / "four_bit.json").write_text(centers_to_json(
+        ClassCenterFile.from_centers([(8, 8), (5, 9), (7, 10)],
+                                     resolution_bits=4)))
     # three modes at the default bandwidth
     (tmp_path / "three_modes.ppm").write_bytes(
         save_pnm(disc_frame(64, 64, 16, 6, sigma=4)))
@@ -473,7 +483,6 @@ REPORT_FLAGS = ["--area-min", "--ratio-min", "--ratio-max", "--target-class",
                 "--clock-mhz", "--out-seg", "--out-annotated", "--out-report",
                 "--color-labels"]
 FLAGS = {
-    "segment": CONFIG_FLAGS + REPORT_FLAGS,
     "detect": CONFIG_FLAGS + REPORT_FLAGS,
     "train": ["--bandwidth", "--seed-stride", "--names", "--out-centers"],
     "ablate": CONFIG_FLAGS,
@@ -493,7 +502,7 @@ def test_each_subcommand_takes_only_the_flags_it_reads(capsys):
         taken[sub] = re.findall(r"^  (--[\w-]+)", capsys.readouterr().out,
                                 re.MULTILINE)
     assert taken == FLAGS
-    assert sum(map(len, taken.values())) == 49
+    assert sum(map(len, taken.values())) == 36
 
 
 # the flags that take no number
@@ -518,7 +527,7 @@ def test_long_bad_number_is_quoted_short(sub, flag, tmp_path):
 # a token of 21 digits and more is refused as it is parsed: no library
 # message echoes it, and no numpy call sees it
 LONG_INT_FLAGS = [("latency", "--classes"), ("latency", "--dims"),
-                  ("segment", "--skip-class"), ("detect", "--target-class"),
+                  ("verify", "--skip-class"), ("detect", "--target-class"),
                   ("train", "--seed-stride"), ("synth", "--seed"),
                   ("synth", "--radius"), ("synth", "--ring"),
                   ("synth", "--width"), ("synth", "--height")]
@@ -540,7 +549,7 @@ def test_twenty_digits_still_parse(capsys):
     assert f"latency: {3 * int('9' * 20) + 2} cycles" in capsys.readouterr().out
 
 
-# a value for each flag of `segment` and `detect` that is not an output
+# a value for each flag of `detect` that is not an output
 # flag, chosen to change what a run on a noisy disc frame prints
 FLAG_VALUES = {"--centers": ["{swapped}"], "--no-gaussian": [],
                "--no-median": [], "--skip-class": ["3"],
@@ -550,7 +559,7 @@ FLAG_VALUES = {"--centers": ["{swapped}"], "--no-gaussian": [],
 
 
 @pytest.mark.parametrize("sub, flag", [
-    (sub, flag) for sub in ("segment", "detect") for flag in FLAGS[sub]
+    ("detect", flag) for flag in FLAGS["detect"]
     if not flag.startswith("--out-")])
 def test_no_flag_is_silently_ignored(sub, flag, tmp_path, capsys):
     # with no output flag, a flag either changes stdout or is refused

@@ -71,13 +71,13 @@ class TestRegisterFile:
 
     @pytest.mark.parametrize("centers,count", [([], 0), ([(88, 151)], 1)])
     def test_fewer_than_two_classes(self, centers, count):
-        with pytest.raises(ValueError, match=f"num_classes must be >= 2, "
-                                             f"got {count}"):
+        with pytest.raises(ValueError, match=f"num_classes must be an int "
+                                             f">= 2, got {count}"):
             ClassCenterFile.from_centers(centers)
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: ClassCenterFile(0, 2), "dims must be >= 1"),
+    (lambda: ClassCenterFile(0, 2), "dims must be an int >= 1"),
     (lambda: ClassCenterFile(1, 2, 8, [0, 256]),
      "cell 1 value 256 exceeds 8-bit range"),
     (lambda: ClassCenterFile(1, 2, names=["a"]),
@@ -114,18 +114,29 @@ class TestRegisterFile:
      "resolution_bits must be an integer, got True"),
     (lambda: ClassCenterFile(2, 2, 8.0),
      "resolution_bits must be an integer, got 8.0"),
-    (lambda: ClassCenterFile(2.0, 2), "dims must be >= 1, got 2.0"),
-    (lambda: PipelineModel(2.5, 4), "dims must be >= 1, got 2.5"),
-    (lambda: PipelineModel(True, 2), "dims must be >= 1, got True"),
-    (lambda: PipelineModel(2, 3.0), "num_classes must be >= 2, got 3.0"),
+    (lambda: ClassCenterFile(2.0, 2), "dims must be an int >= 1, got 2.0"),
+    (lambda: PipelineModel(2.5, 4), "dims must be an int >= 1, got 2.5"),
+    (lambda: PipelineModel(True, 2), "dims must be an int >= 1, got True"),
+    (lambda: PipelineModel(2, 3.0),
+     "num_classes must be an int >= 2, got 3.0"),
     (lambda: PipelineModel(2, 2, 33), "resolution_bits must be in [1, 32]"),
+    # containers and indices of the wrong type
+    (lambda: ClassCenterFile(1, 2, 8, 5), "cells must be a list, not int"),
+    (lambda: ClassCenterFile(1, 2, names=5), "names must be a list, not int"),
+    (lambda: ClassCenterFile.from_centers([1, 2]),
+     "center 0 must be a list or tuple, not int"),
+    (lambda: program_center(ClassCenterFile(1, 2), 1.0, 5),
+     "address must be an int, not float"),
+    (lambda: ClassCenterFile(1, 2).center(1.5),
+     "class index must be an int, not float"),
 ], ids=["zero_dims", "cell_above_range", "names_length",
         "names_length_counts", "ragged_centers", "program_above_range",
         "class_past_end", "schedule_entry_length", "zero_width",
         "frame_past_float", "float_cell", "text_cell", "bool_cell",
         "program_numpy_cell", "int_name", "bool_bits", "float_bits",
         "float_dims", "fractional_model_dims", "bool_model_dims",
-        "float_model_classes", "model_bits_above_32"])
+        "float_model_classes", "model_bits_above_32", "int_cells",
+        "int_names", "int_center", "float_address", "float_class_index"])
 def test_error_message(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()

@@ -32,12 +32,6 @@ def test_ablation_experiment():
     assert [line.split()[0] for line in lines[1:]] == ["0", "4"]
 
 
-def test_latency_sweep():
-    out = run_script("latency_sweep.py", "--max-dims", "2",
-                     "--max-classes", "4")
-    assert "all entries confirmed by cycle simulation" in out
-
-
 def test_detection_demo(tmp_path):
     out = run_script("detection_demo.py", "--out-dir", str(tmp_path))
     assert f"artifacts written to {tmp_path}/" in out

@@ -240,7 +240,8 @@ class TestCentersToFile:
         # (as `detect` does) raises
         text = centers_to_file(ClusterResult([(88, 151)], [10]), ["only"])
         assert json.loads(text)["classes"][0]["center"] == [88, 151]
-        with pytest.raises(ValueError, match="num_classes must be >= 2, got 1"):
+        with pytest.raises(ValueError,
+                           match="num_classes must be an int >= 2, got 1"):
             centers_from_json(text)
 
     def test_layout(self):
