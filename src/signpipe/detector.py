@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .image import ImageRGB, _quote
+from .image import ImageRGB, _int_in, _quote
 
 ANNOTATION_COLOR = (0, 255, 0)
 
@@ -56,8 +56,8 @@ class DetectionRule:
         self.ratio_max = _as_fraction("ratio_max", self.ratio_max)
         if not 0 < self.ratio_min < self.ratio_max:
             raise ValueError("need 0 < ratio_min < ratio_max")
-        if self.area_min < 1:
-            raise ValueError("area_min must be >= 1")
+        _int_in("target_class", self.target_class, 0)
+        _int_in("area_min", self.area_min, 1)
 
 
 @dataclass(frozen=True)

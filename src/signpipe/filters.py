@@ -13,7 +13,7 @@ production filters to them bit for bit.
 
 import numpy as np
 
-from .image import ImageCbCr, ImageGray
+from .image import ImageCbCr, ImageGray, _int_in
 
 # Binomial 3x3 kernel, row-major; divides by 16 with shifts and adds only.
 GAUSSIAN_KERNEL = (1, 2, 1, 2, 4, 2, 1, 2, 1)
@@ -65,8 +65,8 @@ def stream_window(width, height, pixels):
     row r+1's pass, and the row end shifts the last column in once more.
     Raises ValueError unless the stream holds width*height pixels.
     """
-    if width < 1 or height < 1:
-        raise ValueError(f"bad dimensions {width}x{height}")
+    _int_in("width", width, 1)
+    _int_in("height", height, 1)
     state = LineBufferState(width)
     it = iter(pixels)
     for r in range(height + 1):

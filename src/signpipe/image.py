@@ -11,7 +11,9 @@ width) int32 so they can hold class indices or component ids beyond 255.
 """
 
 import functools
+import numbers
 import re
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,9 +36,8 @@ class _Image:
     data: np.ndarray
 
     def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise ValueError(f"image dimensions must be >= 1, "
-                             f"got {self.width}x{self.height}")
+        _int_in("width", self.width, 1)
+        _int_in("height", self.height, 1)
         self.data = np.ascontiguousarray(self.data, dtype=self.dtype)
         shape = (self.height, self.width) + self.channels
         if self.data.shape != shape:
@@ -73,6 +74,26 @@ def _quote(tok, show=repr):
     """`tok` for an error message: at most 20 bytes, then its length."""
     cut = f"{show(tok[:20])}... ({len(tok)} long)"
     return show(tok) if len(tok) <= 20 else cut
+
+
+def _int_in(name, v, lo, hi=None):
+    """`v` if an int, not a bool or numpy int, in [lo, hi] (hi None: no
+    bound); else ValueError `<name> must be an int >= lo` or `in [lo, hi]`."""
+    if type(v) is int and lo <= v and (hi is None or v <= hi):
+        return v
+    bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+    raise ValueError(f"{name} must be an int {bound}, "
+                     f"got {_quote(repr(v), str)}")
+
+
+def _finite(name, v, op=">"):
+    """`v` if a real number, not a bool, `op` 0 (">" or ">=") and at most
+    the largest float; else ValueError `<name> must be finite and <op> 0`."""
+    if (isinstance(v, numbers.Real) and not isinstance(v, bool)
+            and (v > 0 if op == ">" else v >= 0) and v <= sys.float_info.max):
+        return v
+    raise ValueError(f"{name} must be finite and {op} 0, "
+                     f"got {_quote(repr(v), str)}")
 
 
 # the grammar: one token and the whitespace and comments before it; the

@@ -13,11 +13,12 @@ feeds a pairwise min-selection tree of ceil(log2 C) levels.
 import functools
 import json
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .image import ImageCbCr, ImageGray, _quote
+from .image import ImageCbCr, ImageGray, _finite, _int_in, _quote
 
 # the shipped 8-bit center file, in class order
 DEFAULT_CENTERS = ((127, 128), (88, 151), (116, 157), (109, 180))
@@ -46,7 +47,7 @@ class ClassCenterFile:
         if len(self.cells) != n:
             raise ValueError(f"expected {n} cells, got {len(self.cells)}")
         for i, v in enumerate(self.cells):
-            self._check_cell(i, v)
+            _int_in(f"cell {i}", v, 0, (1 << self.resolution_bits) - 1)
         if self.names is not None and len(self.names) != self.num_classes:
             raise ValueError(f"names length must equal num_classes: "
                              f"{len(self.names)} names for "
@@ -55,17 +56,12 @@ class ClassCenterFile:
             if type(name) is not str:
                 raise ValueError(f"class {j} name must be a string")
 
-    def _check_cell(self, i, v):
-        """Refuse value v for cell i unless it is an int in resolution_bits."""
-        if type(v) is not int:
-            raise ValueError(f"cell {i} must be an int, not {type(v).__name__}")
-        if not 0 <= v < (1 << self.resolution_bits):
-            raise ValueError(f"cell {i} value {_quote(str(v), str)} "
-                             f"exceeds {self.resolution_bits}-bit range")
-
     @classmethod
     def from_centers(cls, centers, resolution_bits=8, names=None):
         """The file of `centers`, one per class, each value as given."""
+        if not isinstance(centers, (list, tuple)):
+            raise ValueError(f"centers must be a list or tuple, "
+                             f"not {type(centers).__name__}")
         for j, center in enumerate(centers):
             if not isinstance(center, (list, tuple)):
                 raise ValueError(f"center {j} must be a list or tuple, "
@@ -77,11 +73,7 @@ class ClassCenterFile:
         return cls(dims, len(centers), resolution_bits, cells, names)
 
     def center(self, j):
-        if type(j) is not int:
-            raise ValueError(f"class index must be an int, "
-                             f"not {type(j).__name__}")
-        if not 0 <= j < self.num_classes:
-            raise ValueError(f"class index {j} out of range")
+        _int_in("class index", j, 0, self.num_classes - 1)
         return self.cells[j * self.dims:(j + 1) * self.dims]
 
     def centers(self):
@@ -90,20 +82,16 @@ class ClassCenterFile:
 
 def program_center(file: ClassCenterFile, addr, value):
     """Write one register cell; refuses out-of-range addresses or values."""
-    if type(addr) is not int:
-        raise ValueError(f"address must be an int, not {type(addr).__name__}")
-    if not 0 <= addr < len(file.cells):
-        raise ValueError(f"address {addr} out of range [0, {len(file.cells)})")
-    file._check_cell(addr, value)
-    file.cells[addr] = value
+    _int_in("address", addr, 0, len(file.cells) - 1)
+    file.cells[addr] = _int_in(f"cell {addr}", value, 0,
+                               (1 << file.resolution_bits) - 1)
     return file
 
 
 def classify(file: ClassCenterFile, x):
     """Index of the center nearest to x in Manhattan distance; ties break
     to the smallest class index. The scalar reference for any D."""
-    if len(x) != file.dims:
-        raise ValueError(f"feature vector length {len(x)} != dims {file.dims}")
+    x = _vector("feature vector", x, file.dims)
     dists = [sum(abs(a - b) for a, b in zip(x, center))
              for center in file.centers()]
     return dists.index(min(dists))
@@ -141,26 +129,27 @@ def classify_image(file: ClassCenterFile, img: ImageCbCr) -> ImageGray:
     return ImageGray(img.width, img.height, table.take(key))
 
 
+def _vector(what, x, dims):
+    """x as a tuple of `dims` values, else a ValueError naming `what`."""
+    if not isinstance(x, Iterable) or len(x := tuple(x)) != dims:
+        raise ValueError(f"{what} must be a sequence of length {dims}, "
+                         f"got {_quote(repr(x), str)}")
+    return x
+
+
 # --- cycle-stepped pipeline model ---------------------------------------
 
 @dataclass
 class PipelineModel:
-    """Classifier shape (D, C, bits), checked here only: ints, not bools."""
+    """Classifier shape (D, C, bits), checked here only."""
     dims: int
     num_classes: int
     resolution_bits: int = 8
 
     def __post_init__(self):
-        for v, low, name in [(self.num_classes, 2, "num_classes"),
-                             (self.dims, 1, "dims")]:
-            if type(v) is not int or v < low:
-                raise ValueError(f"{name} must be an int >= {low}, "
-                                 f"got {_quote(repr(v), str)}")
-        if type(self.resolution_bits) is not int:
-            raise ValueError(f"resolution_bits must be an integer, "
-                             f"got {_quote(repr(self.resolution_bits), str)}")
-        if not 1 <= self.resolution_bits <= 32:
-            raise ValueError("resolution_bits must be in [1, 32]")
+        _int_in("num_classes", self.num_classes, 2)
+        _int_in("dims", self.dims, 1)
+        _int_in("resolution_bits", self.resolution_bits, 1, 32)
 
     @property
     def selection_levels(self):
@@ -210,11 +199,8 @@ def simulate_pipeline(model: PipelineModel, file: ClassCenterFile, schedule):
     stages = [stage for d in range(model.dims) for stage in (
         functools.partial(_subtract, file.centers(), d), _absolute,
         _accumulate)] + [_select] * model.selection_levels
-    schedule = [tuple(x) for x in schedule]
-    for cycle, x in enumerate(schedule):
-        if len(x) != model.dims:
-            raise ValueError(f"schedule entry at cycle {cycle} has length "
-                             f"{len(x)}, expected {model.dims}")
+    schedule = [_vector(f"schedule entry at cycle {cycle}", x, model.dims)
+                for cycle, x in enumerate(schedule)]
     start = [(0, j) for j in range(model.num_classes)]
     regs = [None] * len(stages)
     outputs = []
@@ -230,10 +216,9 @@ def simulate_pipeline(model: PipelineModel, file: ClassCenterFile, schedule):
 
 def estimate_frame_rate(frequency_hz, width, height):
     """Frames per second at one pixel per cycle, ignoring blanking."""
-    if not (math.isfinite(frequency_hz) and frequency_hz > 0):
-        raise ValueError(f"frequency must be finite and > 0, got {frequency_hz}")
-    if width <= 0 or height <= 0:
-        raise ValueError("dimensions must be positive")
+    _finite("frequency", frequency_hz)
+    _int_in("width", width, 1)
+    _int_in("height", height, 1)
     try:
         return frequency_hz / (width * height)
     except OverflowError:

@@ -9,7 +9,6 @@ the latency and frame-rate figures of the cycle model so a software
 run documents what the streaming design would deliver.
 """
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -18,7 +17,7 @@ from . import oracles
 from .ccl import label_components
 from .detector import DetectionRule, annotate, detect
 from .filters import gaussian3x3, median3x3
-from .image import ImageGray, ImageRGB, rgb_to_cbcr
+from .image import ImageGray, ImageRGB, _finite, _int_in, _quote, rgb_to_cbcr
 from .mdc import (DEFAULT_CENTERS, DEFAULT_NAMES, ClassCenterFile,
                   PipelineModel, classify_image, estimate_frame_rate)
 
@@ -45,16 +44,15 @@ class PipelineConfig:
             raise ValueError("pipeline needs 2-dimensional (Cb, Cr) centers")
         if (bits := self.centers.resolution_bits) != 8:
             raise ValueError(f"pipeline needs 8-bit centers, got {bits}-bit")
-        if not (math.isfinite(self.clock_mhz) and self.clock_mhz > 0):
-            raise ValueError(f"clock_mhz must be finite and > 0, "
-                             f"got {self.clock_mhz}")
-        self.skip_classes = frozenset(self.skip_classes)
-        n = self.centers.num_classes
-        for role, idx in ([("skip", i) for i in sorted(self.skip_classes)]
+        _finite("clock_mhz", self.clock_mhz)
+        try:
+            self.skip_classes = frozenset(self.skip_classes)
+        except TypeError:   # not iterable, or a member not hashable
+            raise ValueError("skip_classes must be a set of ints, got "
+                             + _quote(repr(self.skip_classes), str)) from None
+        for role, idx in ([("skip", i) for i in self.skip_classes]
                           + [("target", self.rule.target_class)]):
-            if not 0 <= idx < n:
-                raise ValueError(f"{role} class {idx} is not a class index "
-                                 f"in [0, {n})")
+            _int_in(f"{role} class", idx, 0, self.centers.num_classes - 1)
 
 
 @dataclass

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from .image import ImageCbCr, ImageRGB, cbcr_to_rgb
+from .image import ImageCbCr, ImageRGB, _finite, _int_in, cbcr_to_rgb
 from .mdc import DEFAULT_CENTERS
 
 # (Cb, Cr) of the default background, yellow and red_low classes
@@ -54,15 +54,12 @@ def disc_frame(width=200, height=200, radius=30, ring=10,
     The disc geometry gives area ~ pi * radius^2 and a near-square
     bounding box, so the default detection rule accepts exactly the disc.
     """
-    if max(width, height) > MAX_SIDE:
-        raise ValueError(f"sides must be <= {MAX_SIDE}, got {width}x{height}")
-    if radius < 0 or ring < 0:
-        raise ValueError(f"radius and ring must be >= 0, got {radius} "
-                         f"and {ring}")
-    if not (math.isfinite(sigma) and sigma >= 0):
-        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    _int_in("width", width, 1, MAX_SIDE)
+    _int_in("height", height, 1, MAX_SIDE)
+    _int_in("radius", radius, 0)
+    _int_in("ring", ring, 0)
+    _finite("sigma", sigma, ">=")
+    _int_in("seed", seed, 0)
     frame = chroma_constant(width, height, BACKGROUND_CHROMA)
     cx, cy = width // 2, height // 2
     paint_disc(frame, cx, cy, radius + ring, RED_CHROMA)

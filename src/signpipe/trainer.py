@@ -43,6 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .image import _finite, _int_in
 from .mdc import ClassCenterFile, _centers_json, centers_to_json
 
 # elements of each (seeds x distinct values) buffer of a step: 2 MB of
@@ -60,15 +61,12 @@ class MeanShiftConfig:
     seed_stride: int = 4
 
     def __post_init__(self):
-        # `bandwidth ** 2` must be a finite float; an int compares exactly
-        bw = self.bandwidth
-        if not (bw > 0 and bw * bw <= sys.float_info.max):
+        bw = _finite("bandwidth", self.bandwidth)
+        if bw * bw > sys.float_info.max:  # converge squares it; ints exactly
             raise ValueError(f"bandwidth must be finite and > 0, got {bw}; "
                              f"its square must be finite too")
-        for name in ("max_iterations", "seed_stride"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        _int_in("max_iterations", self.max_iterations, 1)
+        _int_in("seed_stride", self.seed_stride, 1)
 
 
 @dataclass

@@ -293,11 +293,14 @@ REPORT_FLAG_REFUSALS = [
      "ratio_max must be a finite decimal"),
     (["detect", "{frame}", "--ratio-min", "5"],
      "need 0 < ratio_min < ratio_max"),
-    (["detect", "{frame}", "--skip-class", "9"], "skip class 9 is not"),
-    (["detect", "{frame}", "--target-class", "9"], "target class 9 is not"),
+    (["detect", "{frame}", "--skip-class", "9"],
+     "skip class must be an int in [0, 3], got 9"),
+    (["detect", "{frame}", "--target-class", "9"],
+     "target class must be an int in [0, 3], got 9"),
     (["detect", "{frame}", "--skip-class", "9", "--target-class", "9"],
-     "skip class 9 is not"),
-    (["detect", "{frame}", "--target-class", "-1"], "target class -1 is not"),
+     "skip class must be an int in [0, 3], got 9"),
+    (["detect", "{frame}", "--target-class", "-1"],
+     "target_class must be an int >= 0, got -1"),
     (["detect", "{frame}", "--centers", "{no_name}"],
      'class 0 needs a "name"'),
     (["detect", "{frame}", "--centers", "{tmp}/missing.json"],
@@ -324,7 +327,8 @@ REPORT_FLAG_REFUSALS = [
     (["train", "{frame}", "--bandwidth", "inf"],
      "bandwidth must be finite and > 0, got inf"),
     (["train", "{frame}", "--bandwidth", "1e308"],
-     "bandwidth must be finite and > 0, got 1e+308"),
+     "bandwidth must be finite and > 0, got 1e+308; its square must be "
+     "finite too"),
     (["train", "{frame}", "--bandwidth", "2"],
      "num_classes must be an int >= 2, got 1"),
     (["train", "{tmp}/three_modes.ppm", "--names", "a,b"],
@@ -338,7 +342,7 @@ REPORT_FLAG_REFUSALS = [
      "argument --width: invalid int value: '10000000000000000000'... "
      "(401 long)"),
     (["synth", "{tmp}/s.ppm", "--width", "0"],
-     "image dimensions must be >= 1, got 0x200"),
+     "width must be an int in [1, 4096], got 0"),
     (["verify", "{frame}", "--out-report", "{tmp}/r.json"],
      "unrecognized arguments: --out-report"),
     (["ablate", "{frame}", "--out-seg", "{tmp}/s.ppm"],
@@ -352,10 +356,11 @@ REPORT_FLAG_REFUSALS = [
     (["detect", "{frame}", "--centers", "{tmp}/deep.json"],
      "center file is nested too deeply"),
     (["detect", "{frame}", "--centers", "{tmp}/long_value.json"],
-     "cell 0 value 10000000000000000000... (4000 long) exceeds 8-bit"),
+     "cell 0 must be an int in [0, 255], got 10000000000000000000... "
+     "(4000 long)"),
     (["detect", "{frame}", "--centers", "{tmp}/long_bits.json"],
-     "resolution_bits must be an integer, got 'xxxxxxxxxxxxxxxxxxx... "
-     "(100002 long)"),
+     "resolution_bits must be an int in [1, 32], got "
+     "'xxxxxxxxxxxxxxxxxxx... (100002 long)"),
     (["detect", "{tmp}/long_sides_p6.ppm"], "invalid width"),
     (["detect", "{tmp}/long_sides_p3.ppm"], "invalid width"),
     (["detect", "{frame}", "--centers", "{tmp}/huge_value.json"],
@@ -368,18 +373,19 @@ REPORT_FLAG_REFUSALS = [
      "argument --dims: invalid int value: '99999999999999999999'... "
      "(4300 long)"),
     (["synth", "{tmp}/s.ppm", "--radius", "-5"],
-     "radius and ring must be >= 0, got -5 and 10"),
+     "radius must be an int >= 0, got -5"),
     (["synth", "{tmp}/s.ppm", "--ring", "-100"],
-     "radius and ring must be >= 0, got 30 and -100"),
+     "ring must be an int >= 0, got -100"),
     (["synth", "{tmp}/s.ppm", "--sigma", "nan"],
      "sigma must be finite and >= 0, got nan"),
     (["synth", "{tmp}/s.ppm", "--sigma", "-3"],
      "sigma must be finite and >= 0, got -3.0"),
     (["synth", "{tmp}/s.ppm", "--width", "4097"],
-     "sides must be <= 4096, got 4097x200"),
+     "width must be an int in [1, 4096], got 4097"),
     (["synth", "{tmp}/s.ppm", "--height", "4097"],
-     "sides must be <= 4096, got 200x4097"),
-    (["synth", "{tmp}/s.ppm", "--seed", "-1"], "seed must be >= 0, got -1"),
+     "height must be an int in [1, 4096], got 4097"),
+    (["synth", "{tmp}/s.ppm", "--seed", "-1"],
+     "seed must be an int >= 0, got -1"),
 ] + REPORT_FLAG_REFUSALS,
    ids=["ratio_not_a_number", "ratio_nan", "ratio_huge_exponent",
         "ratio_min_above_max", "skip_class_range",
@@ -587,7 +593,7 @@ def test_bad_flag_in_subprocess(frame_path):
     assert proc.returncode != 0
     assert proc.stdout == ""
     assert proc.stderr.splitlines() == [
-        "signpipe: skip class 9 is not a class index in [0, 4)"]
+        "signpipe: skip class must be an int in [0, 3], got 9"]
 
 
 def test_usage_error_in_subprocess(frame_path):

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 from signpipe.ccl import ComponentFeatures
 from signpipe.detector import Detection, DetectionRule, annotate, detect
 from signpipe.image import ImageRGB
+
+from refusals import int_refusals
 
 
 def component(class_index=1, w=20, h=20, area=250, x0=0, y0=0):
@@ -76,8 +79,17 @@ class TestDetect:
     def test_rule_invariants(self):
         with pytest.raises(ValueError):
             DetectionRule(ratio_min=3, ratio_max=0.7)
-        with pytest.raises(ValueError):
-            DetectionRule(area_min=0)
+        rows = [({name: v}, message)
+                for name, lo in [("target_class", 0), ("area_min", 1)]
+                for _, v, message in int_refusals(name, lo)]
+        # a fractional target matched no class; a nan area passed every test
+        rows += [({"target_class": 1.5},
+                  "target_class must be an int >= 0, got 1.5"),
+                 ({"area_min": float("nan")},
+                  "area_min must be an int >= 1, got nan")]
+        for kwargs, message in rows:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                DetectionRule(**kwargs)
 
 
 class TestAnnotate:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,6 +10,8 @@ from signpipe.filters import (GAUSSIAN_KERNEL, LineBufferState, gaussian3x3,
                               median3x3, stream_window)
 from signpipe.image import ImageCbCr, ImageGray
 from signpipe.oracles import stream_gaussian3x3, stream_median3x3
+
+from refusals import int_refusals
 
 
 def planes(max_side=10, max_value=255):
@@ -71,8 +75,12 @@ class TestStreamWindow:
             list(stream_window(3, 3, range(10)))
 
     def test_bad_dimensions(self):
-        with pytest.raises(ValueError, match="bad dimensions 0x1"):
-            list(stream_window(0, 1, []))
+        rows = [(v, 1, message) for _, v, message in int_refusals("width", 1)]
+        rows += [(1, v, message)
+                 for _, v, message in int_refusals("height", 1)]
+        for width, height, message in rows:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                list(stream_window(width, height, []))
 
     def test_memory_bound(self):
         state = LineBufferState(17)

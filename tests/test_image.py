@@ -1,6 +1,8 @@
+import ast
 import itertools
 import re
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -12,6 +14,9 @@ from signpipe import image
 from signpipe.image import (_TOKEN, ImageCbCr, ImageGray, ImageRGB, PnmError,
                             cbcr_to_rgb, load_pnm, rgb_to_cbcr, save_pnm)
 from signpipe.oracles import dot_rgb_to_cbcr
+from signpipe.synthetic import MAX_SIDE, disc_frame
+
+from refusals import int_refusals, real_refusals
 
 
 def rgb_images(max_side=12):
@@ -407,10 +412,26 @@ class TestRgbToCbcr:
 
 
 def test_dimension_invariants():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(
+            "width must be an int >= 1, got 0")):
         ImageRGB(0, 1, np.zeros((1, 0, 3), dtype=np.uint8))
     with pytest.raises(ValueError):
         ImageRGB(2, 2, np.zeros((2, 3, 3), dtype=np.uint8))
+    # the sides of an image and the settings of the synthetic frame
+    pixel = np.zeros((1, 1, 3), dtype=np.uint8)
+    calls = [(lambda v: ImageRGB(v, 1, pixel), "width", 1, None),
+             (lambda v: ImageRGB(1, v, pixel), "height", 1, None),
+             (lambda v: disc_frame(width=v), "width", 1, MAX_SIDE),
+             (lambda v: disc_frame(height=v), "height", 1, MAX_SIDE)]
+    calls += [(lambda v, name=name: disc_frame(**{name: v}), name, 0, None)
+              for name in ("radius", "ring", "seed")]
+    rows = [(call, v, message) for call, name, lo, hi in calls
+            for _, v, message in int_refusals(name, lo, hi)]
+    rows += [(lambda v: disc_frame(sigma=v), v, message)
+             for _, v, message in real_refusals("sigma", ">=")]
+    for call, v, message in rows:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(v)
 
 
 @pytest.mark.parametrize("cls,dtype,channels", [
@@ -425,3 +446,42 @@ def test_container_shape_dtype_and_equality(cls, dtype, channels):
     assert img != data[:, ::-1]       # only an image equals an image
     with pytest.raises(ValueError):
         cls(3, 2, data)
+
+
+def test_type_checks_of_numbers_live_only_in_the_rule_helpers():
+    # `type(v) is int`, `isinstance(v, (int, np.integer))` and the like
+    # anywhere in the package but image._int_in and image._finite are the
+    # integer or real rule written out again
+    homes = {("image.py", "_int_in"), ("image.py", "_finite")}
+    numeric = {"int", "bool", "float", "integer", "floating", "number",
+               "Integral", "Real", "Number"}
+
+    def is_type_call(node):
+        return (isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "type")
+
+    def names(nodes):
+        return {getattr(n, "id", None) or getattr(n, "attr", None)
+                for node in nodes for n in ast.walk(node)}
+
+    found = set()
+    for path in sorted(Path(image.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {}
+        for fn in ast.walk(tree):    # breadth first: the innermost def wins
+            if isinstance(fn, ast.FunctionDef):
+                owner.update((n, fn.name) for n in ast.walk(fn))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and len(node.args) == 2
+                    and getattr(node.func, "id", None) in ("isinstance",
+                                                           "issubclass")):
+                tested = names(node.args[1:])
+            elif isinstance(node, ast.Compare) and any(
+                    map(is_type_call, [node.left, *node.comparators])):
+                tested = names(n for n in [node.left, *node.comparators]
+                               if not is_type_call(n))
+            else:
+                continue
+            if tested & numeric:
+                found.add((path.name, owner.get(node), node.lineno))
+    assert {(f, fn) for f, fn, _ in found} == homes, sorted(found)

@@ -13,6 +13,8 @@ from signpipe.mdc import (ClassCenterFile, PipelineModel, centers_from_json,
                           estimate_frame_rate, program_center,
                           simulate_pipeline)
 
+from refusals import int_refusals, real_refusals
+
 DEFAULT_CENTERS = [(127, 128), (88, 151), (116, 157), (109, 180)]
 
 
@@ -76,10 +78,37 @@ class TestRegisterFile:
             ClassCenterFile.from_centers(centers)
 
 
+# each integer setting of this module: (id, call with the value, the
+# setting's name in the message, lo, hi)
+INT_SETTINGS = [
+    ("model_dims", lambda v: PipelineModel(v, 4), "dims", 1, None),
+    ("model_classes", lambda v: PipelineModel(2, v), "num_classes", 2, None),
+    ("model_bits", lambda v: PipelineModel(2, 4, v), "resolution_bits", 1, 32),
+    ("file_dims", lambda v: ClassCenterFile(v, 2), "dims", 1, None),
+    ("cell", lambda v: ClassCenterFile(1, 2, 8, [0, v]), "cell 1", 0, 255),
+    ("program_cell", lambda v: program_center(ClassCenterFile(1, 2, 4), 0, v),
+     "cell 0", 0, 15),
+    ("address", lambda v: program_center(ClassCenterFile(1, 2), v, 0),
+     "address", 0, 1),
+    ("class_index", lambda v: ClassCenterFile(1, 2).center(v),
+     "class index", 0, 1),
+    ("frame_width", lambda v: estimate_frame_rate(170e6, v, 630), "width", 1,
+     None),
+    ("frame_height", lambda v: estimate_frame_rate(170e6, 1000, v), "height",
+     1, None),
+]
+INT_ROWS = [(f"{sid}_{kind}", lambda call=call, v=v: call(v), message)
+            for sid, call, name, lo, hi in INT_SETTINGS
+            for kind, v, message in int_refusals(name, lo, hi)]
+REAL_ROWS = [(f"frequency_{kind}",
+              lambda v=v: estimate_frame_rate(v, 1000, 630), message)
+             for kind, v, message in real_refusals("frequency")]
+
+
 @pytest.mark.parametrize("call, message", [
-    (lambda: ClassCenterFile(0, 2), "dims must be an int >= 1"),
+    (lambda: ClassCenterFile(0, 2), "dims must be an int >= 1, got 0"),
     (lambda: ClassCenterFile(1, 2, 8, [0, 256]),
-     "cell 1 value 256 exceeds 8-bit range"),
+     "cell 1 must be an int in [0, 255], got 256"),
     (lambda: ClassCenterFile(1, 2, names=["a"]),
      "names length must equal num_classes"),
     (lambda: ClassCenterFile.from_centers([(1, 2), (3, 4)],
@@ -90,53 +119,69 @@ class TestRegisterFile:
      "inconsistent center dimensions"),
     # the write port refuses a cell as the constructor does
     (lambda: program_center(ClassCenterFile(1, 2), 0, 256),
-     "cell 0 value 256 exceeds 8-bit range"),
-    (lambda: ClassCenterFile(1, 2).center(2), "class index 2 out of range"),
+     "cell 0 must be an int in [0, 255], got 256"),
+    (lambda: ClassCenterFile(1, 2).center(2),
+     "class index must be an int in [0, 1], got 2"),
     (lambda: simulate_pipeline(PipelineModel(2, 2), ClassCenterFile(2, 2),
                                [(1, 2), (1, 2, 3)]),
-     "schedule entry at cycle 1 has length 3, expected 2"),
-    (lambda: estimate_frame_rate(170e6, 0, 630), "dimensions must be positive"),
+     "schedule entry at cycle 1 must be a sequence of length 2, "
+     "got (1, 2, 3)"),
+    (lambda: estimate_frame_rate(170e6, 0, 630),
+     "width must be an int >= 1, got 0"),
     (lambda: estimate_frame_rate(170e6, 10 ** 400, 630),
      "frame size 10000000000000000000... (401 long)x630 is too large"),
     # values reach the checks as given: not truncated, parsed or cast
     (lambda: ClassCenterFile.from_centers([[1.5, 2], [3, 4]]),
-     "cell 0 must be an int, not float"),
+     "cell 0 must be an int in [0, 255], got 1.5"),
     (lambda: ClassCenterFile.from_centers([["7", 2], [3, 4]]),
-     "cell 0 must be an int, not str"),
+     "cell 0 must be an int in [0, 255], got '7'"),
     (lambda: ClassCenterFile(1, 2, 8, [0, True]),
-     "cell 1 must be an int, not bool"),
+     "cell 1 must be an int in [0, 255], got True"),
     (lambda: program_center(ClassCenterFile(2, 2), 0, np.int64(5)),
-     "cell 0 must be an int, not int64"),
+     "cell 0 must be an int in [0, 255], got np.int64(5)"),
     (lambda: ClassCenterFile(1, 2, names=["a", 3]),
      "class 1 name must be a string"),
     # the shape rules are PipelineModel's, for both classes
     (lambda: ClassCenterFile(2, 2, True),
-     "resolution_bits must be an integer, got True"),
+     "resolution_bits must be an int in [1, 32], got True"),
     (lambda: ClassCenterFile(2, 2, 8.0),
-     "resolution_bits must be an integer, got 8.0"),
+     "resolution_bits must be an int in [1, 32], got 8.0"),
     (lambda: ClassCenterFile(2.0, 2), "dims must be an int >= 1, got 2.0"),
     (lambda: PipelineModel(2.5, 4), "dims must be an int >= 1, got 2.5"),
     (lambda: PipelineModel(True, 2), "dims must be an int >= 1, got True"),
     (lambda: PipelineModel(2, 3.0),
      "num_classes must be an int >= 2, got 3.0"),
-    (lambda: PipelineModel(2, 2, 33), "resolution_bits must be in [1, 32]"),
+    (lambda: PipelineModel(2, 2, 33),
+     "resolution_bits must be an int in [1, 32], got 33"),
     # containers and indices of the wrong type
     (lambda: ClassCenterFile(1, 2, 8, 5), "cells must be a list, not int"),
     (lambda: ClassCenterFile(1, 2, names=5), "names must be a list, not int"),
     (lambda: ClassCenterFile.from_centers([1, 2]),
      "center 0 must be a list or tuple, not int"),
     (lambda: program_center(ClassCenterFile(1, 2), 1.0, 5),
-     "address must be an int, not float"),
+     "address must be an int in [0, 1], got 1.0"),
     (lambda: ClassCenterFile(1, 2).center(1.5),
-     "class index must be an int, not float"),
-], ids=["zero_dims", "cell_above_range", "names_length",
+     "class index must be an int in [0, 1], got 1.5"),
+    (lambda: ClassCenterFile.from_centers(5),
+     "centers must be a list or tuple, not int"),
+    (lambda: classify(ClassCenterFile(1, 2), 5),
+     "feature vector must be a sequence of length 1, got 5"),
+    (lambda: classify(default_file(), (1, 2, 3)),
+     "feature vector must be a sequence of length 2, got (1, 2, 3)"),
+    (lambda: simulate_pipeline(PipelineModel(1, 2), ClassCenterFile(1, 2),
+                               [5]),
+     "schedule entry at cycle 0 must be a sequence of length 1, got 5"),
+] + [row[1:] for row in INT_ROWS + REAL_ROWS],
+   ids=["zero_dims", "cell_above_range", "names_length",
         "names_length_counts", "ragged_centers", "program_above_range",
         "class_past_end", "schedule_entry_length", "zero_width",
         "frame_past_float", "float_cell", "text_cell", "bool_cell",
         "program_numpy_cell", "int_name", "bool_bits", "float_bits",
         "float_dims", "fractional_model_dims", "bool_model_dims",
         "float_model_classes", "model_bits_above_32", "int_cells",
-        "int_names", "int_center", "float_address", "float_class_index"])
+        "int_names", "int_center", "float_address", "float_class_index",
+        "int_centers", "int_feature_vector", "long_feature_vector",
+        "int_schedule_entry"] + [row[0] for row in INT_ROWS + REAL_ROWS])
 def test_error_message(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()

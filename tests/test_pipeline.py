@@ -29,6 +29,8 @@ from signpipe.pipeline import (PipelineConfig, default_centers, run_pipeline,
 from signpipe.synthetic import (BACKGROUND_CHROMA, RED_CHROMA, YELLOW_CHROMA,
                                 chroma_constant, disc_frame, paint_disc)
 
+from refusals import int_refusals, real_refusals
+
 
 def features(rgb, config=None):
     report, _ = run_pipeline(config or PipelineConfig(), rgb)
@@ -114,15 +116,30 @@ def test_translating_a_sign_translates_its_bbox_and_centroid(placement):
         sorted(moved(c, 0, 0) for c in after)
 
 
+# a skip class as each refused kind of value, and clock_mhz likewise
+SETTING_ROWS = ([(f"skip_{kind}", {"skip_classes": {v}}, message)
+                 for kind, v, message in int_refusals("skip class", 0, 3)]
+                + [(f"clock_{kind}", {"clock_mhz": v}, message)
+                   for kind, v, message in real_refusals("clock_mhz")])
+
+
 @pytest.mark.parametrize("kwargs, message", [
-    ({"skip_classes": {4}}, "skip class 4 is not a class index in [0, 4)"),
-    ({"skip_classes": {0, -1}}, "skip class -1 is not"),
+    ({"skip_classes": {4}}, "skip class must be an int in [0, 3], got 4"),
+    ({"skip_classes": {0, -1}}, "skip class must be an int in [0, 3], got -1"),
     ({"rule": DetectionRule(target_class=4)},
-     "target class 4 is not a class index in [0, 4)"),
+     "target class must be an int in [0, 3], got 4"),
     ({"centers": ClassCenterFile(3, 4)},
      "pipeline needs 2-dimensional (Cb, Cr) centers"),
-], ids=["skip_past_end", "negative_skip", "target_past_end",
-        "three_dim_centers"])
+    # a fractional class labeled background; True was read as class 1
+    ({"skip_classes": {1.5}}, "skip class must be an int in [0, 3], got 1.5"),
+    ({"skip_classes": {True}},
+     "skip class must be an int in [0, 3], got True"),
+    ({"skip_classes": 5}, "skip_classes must be a set of ints, got 5"),
+    ({"skip_classes": [[0]]}, "skip_classes must be a set of ints, got [[0]]"),
+] + [row[1:] for row in SETTING_ROWS],
+   ids=["skip_past_end", "negative_skip", "target_past_end",
+        "three_dim_centers", "fractional_skip", "bool_skip", "int_skip_set",
+        "unhashable_skip"] + [row[0] for row in SETTING_ROWS])
 def test_config_refuses_class_indices_outside_the_center_file(kwargs, message):
     # the shipped center file has 4 classes
     with pytest.raises(ValueError, match=re.escape(message)):

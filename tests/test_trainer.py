@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -14,6 +15,8 @@ from signpipe.oracles import loop_converge, loop_merge_modes
 from signpipe.synthetic import disc_frame
 from signpipe.trainer import (ClusterResult, MeanShiftConfig, centers_to_file,
                               converge, mean_shift, merge_modes)
+
+from refusals import int_refusals, real_refusals
 
 
 def two_blobs(seed=7, n=500, sigma=3.0):
@@ -77,12 +80,34 @@ class TestMeanShift:
             mean_shift([], MeanShiftConfig())
 
     def test_config_validation(self):
-        for kwargs in ({"bandwidth": 0}, {"bandwidth": float("nan")},
-                       {"bandwidth": float("inf")}, {"bandwidth": 1e200},
-                       {"bandwidth": 10**160}, {"bandwidth": 10**400},
-                       {"max_iterations": 0}, {"max_iterations": -1},
-                       {"max_iterations": 2.5}, {"seed_stride": 0}):
-            with pytest.raises(ValueError):
+        rows = [({"bandwidth": 0}, "bandwidth must be finite and > 0, got 0"),
+                ({"bandwidth": float("nan")},
+                 "bandwidth must be finite and > 0, got nan"),
+                ({"bandwidth": float("inf")},
+                 "bandwidth must be finite and > 0, got inf"),
+                ({"bandwidth": 1e200}, "bandwidth must be finite and > 0, "
+                 "got 1e+200; its square must be finite too"),
+                ({"bandwidth": 10**160}, "bandwidth must be finite and > 0, "
+                 f"got 1{'0' * 160}; its square must be finite too"),
+                ({"bandwidth": 10**400}, "bandwidth must be finite and > 0, "
+                 "got 10000000000000000000... (401 long)"),
+                ({"max_iterations": 0},
+                 "max_iterations must be an int >= 1, got 0"),
+                ({"max_iterations": -1},
+                 "max_iterations must be an int >= 1, got -1"),
+                ({"max_iterations": 2.5},
+                 "max_iterations must be an int >= 1, got 2.5"),
+                ({"seed_stride": 0}, "seed_stride must be an int >= 1, got 0"),
+                # read as a stride of 1 before
+                ({"seed_stride": True},
+                 "seed_stride must be an int >= 1, got True")]
+        rows += [({name: v}, message)
+                 for name in ("max_iterations", "seed_stride")
+                 for _, v, message in int_refusals(name, 1)]
+        rows += [({"bandwidth": v}, message)
+                 for _, v, message in real_refusals("bandwidth")]
+        for kwargs, message in rows:
+            with pytest.raises(ValueError, match=re.escape(message)):
                 MeanShiftConfig(**kwargs)
 
     @pytest.mark.parametrize("samples", [
