@@ -103,7 +103,7 @@ def label_components(seg: ImageGray, skip=frozenset()):
     comp_of_root = np.zeros(starts.size, dtype=np.int32)
     comp_of_root[firsts] = np.arange(1, firsts.size + 1, dtype=np.int32)
     run_comp = comp_of_root[root]  # skipped runs are roots without an id
-    labels = ImageGray(w, h, np.repeat(run_comp, lengths).reshape(h, w))
+    labels = ImageGray(np.repeat(run_comp, lengths).reshape(h, w))
 
     # per-run features, gathered into their components
     k = run_comp[run_keep] - 1

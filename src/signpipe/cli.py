@@ -38,7 +38,8 @@ def _number(kind):
             return kind(text)
         except ValueError:
             raise argparse.ArgumentTypeError(
-                f"invalid {kind.__name__} value: {_quote(text)}") from None
+                f"invalid {kind.__name__} value: "
+                f"{_quote(text, token=True)}") from None
     return parse
 
 

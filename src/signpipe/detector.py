@@ -30,12 +30,12 @@ def _as_fraction(name, v):
     try:
         text = str(v)
     except ValueError:  # an int past Python's str() limit of 4300 digits
-        text = f"<{type(v).__name__} too long>"
+        text = _quote(v)
     m = _DECIMAL.fullmatch(text)
     if (not m or len(text) > MAX_DECIMAL_CHARS
             or abs(int(m[1] or 0)) > MAX_EXPONENT):
         raise ValueError(f"{name} must be a finite decimal, "
-                         f"got {_quote(text)}")
+                         f"got {_quote(text, token=True)}")
     return Fraction(text)
 
 
@@ -104,4 +104,4 @@ def annotate(img: ImageRGB, detections):
         out[y1, x0:x1 + 1] = color
         out[y0:y1 + 1, x0] = color
         out[y0:y1 + 1, x1] = color
-    return ImageRGB(img.width, img.height, out)
+    return ImageRGB(out)

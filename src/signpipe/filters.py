@@ -112,7 +112,7 @@ def gaussian3x3(img: ImageCbCr) -> ImageCbCr:
                     mode="edge")
     acc = _sum3x3(padded, 2)
     out = (acc + GAUSSIAN_DIVISOR // 2) >> 4  # divide by 16, round half-up
-    return ImageCbCr(img.width, img.height, out.astype(np.uint8))
+    return ImageCbCr(out.astype(np.uint8))
 
 
 def median3x3(labels: ImageGray) -> ImageGray:
@@ -130,4 +130,4 @@ def median3x3(labels: ImageGray) -> ImageGray:
     out = np.full(data.shape, lo, dtype=np.int32)
     for k in range(lo, hi):
         out += _sum3x3((padded <= k).view(np.uint8), 1) < 5
-    return ImageGray(labels.width, labels.height, out)
+    return ImageGray(out)

@@ -5,9 +5,10 @@ non-whitespace bytes after any whitespace and `#` line comments. A P3
 payload is read two ways: `_p3_samples` reads the common case, digits
 and whitespace only, in one whole-array pass, and hands anything else to
 the `_TOKEN` scan, which alone raises. All pixel data lives in numpy
-arrays. RGB images are (height, width, 3) uint8, chroma images are
-(height, width, 2) uint8 holding (Cb, Cr), and gray images are (height,
-width) int32 so they can hold class indices or component ids beyond 255.
+arrays, and an image is built from its array alone, whose shape is its
+size: RGB images are (height, width, 3) uint8, chroma images are (height,
+width, 2) uint8 holding (Cb, Cr), and gray images are (height, width)
+int32 so they can hold class indices or component ids beyond 255.
 """
 
 import functools
@@ -27,26 +28,26 @@ class PnmError(ValueError):
         self.offset = offset
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class _Image:
     """Pixel data as a C-contiguous (height, width) + `channels` array of
-    `dtype`; equal to an image of the same type, size and pixels."""
-    width: int
-    height: int
+    `dtype`, both sides at least 1; the size is read off the array, which
+    is not replaced. Equal to an image of the same type and pixels."""
     data: np.ndarray
 
     def __post_init__(self):
-        _int_in("width", self.width, 1)
-        _int_in("height", self.height, 1)
-        self.data = np.ascontiguousarray(self.data, dtype=self.dtype)
-        shape = (self.height, self.width) + self.channels
-        if self.data.shape != shape:
-            raise ValueError(f"{type(self).__name__} data shape "
-                             f"{self.data.shape} does not match {shape}")
+        data = np.ascontiguousarray(self.data, dtype=self.dtype)
+        object.__setattr__(self, "data", data)
+        shape = data.shape
+        if len(shape) < 2 or shape[2:] != self.channels or 0 in shape:
+            raise ValueError(f"{type(self).__name__} needs shape (h >= 1, "
+                             f"w >= 1) + {self.channels}, got {shape}")
+
+    width = property(lambda self: self.data.shape[1])
+    height = property(lambda self: self.data.shape[0])
 
     def __eq__(self, other):
         return (isinstance(other, type(self))
-                and self.width == other.width and self.height == other.height
                 and np.array_equal(self.data, other.data))
 
 
@@ -70,10 +71,18 @@ def _decimal(tok):
     return int(tok) if tok.isdigit() and len(tok) <= 2000 else None
 
 
-def _quote(tok, show=repr):
-    """`tok` for an error message: at most 20 bytes, then its length."""
-    cut = f"{show(tok[:20])}... ({len(tok)} long)"
-    return show(tok) if len(tok) <= 20 else cut
+def _quote(v, show=repr, token=False):
+    """`show(v)` for an error message: at most 20 characters, then its
+    length. A `token` (str or bytes from input) is cut before it is shown;
+    an int past the 4300 digits Python prints shows as `<int of N bits>`."""
+    if not token:
+        try:
+            v, show = show(v), str
+        except ValueError:  # a number past the 4300 digits Python prints
+            size = (f"of {v.bit_length()} bits" if hasattr(v, "bit_length")
+                    else "too long")
+            return f"<{type(v).__name__} {size}>"
+    return show(v) if len(v) <= 20 else f"{show(v[:20])}... ({len(v)} long)"
 
 
 def _int_in(name, v, lo, hi=None):
@@ -82,8 +91,14 @@ def _int_in(name, v, lo, hi=None):
     if type(v) is int and lo <= v and (hi is None or v <= hi):
         return v
     bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
-    raise ValueError(f"{name} must be an int {bound}, "
-                     f"got {_quote(repr(v), str)}")
+    raise ValueError(f"{name} must be an int {bound}, got {_quote(v)}")
+
+
+def _kind(name, v, types, what):
+    """`v` if an instance of `types`, else a ValueError naming `name`."""
+    if isinstance(v, types):
+        return v
+    raise ValueError(f"{name} must be {what}, not {type(v).__name__}")
 
 
 def _finite(name, v, op=">"):
@@ -92,8 +107,7 @@ def _finite(name, v, op=">"):
     if (isinstance(v, numbers.Real) and not isinstance(v, bool)
             and (v > 0 if op == ">" else v >= 0) and v <= sys.float_info.max):
         return v
-    raise ValueError(f"{name} must be finite and {op} 0, "
-                     f"got {_quote(repr(v), str)}")
+    raise ValueError(f"{name} must be finite and {op} 0, got {_quote(v)}")
 
 
 # the grammar: one token and the whitespace and comments before it; the
@@ -144,7 +158,7 @@ def load_pnm(raw: bytes) -> ImageRGB:
         if value is None:
             if not tok:
                 raise PnmError("unexpected end of header", off)
-            raise PnmError(f"invalid {what} {_quote(tok)}", off)
+            raise PnmError(f"invalid {what} {_quote(tok, token=True)}", off)
         return value, m
 
     m = next(tokens)
@@ -152,8 +166,8 @@ def load_pnm(raw: bytes) -> ImageRGB:
     if not magic:
         raise PnmError("unexpected end of header", off)
     if magic not in (b"P3", b"P6"):
-        raise PnmError(f"unsupported magic {_quote(magic)}, expected P3 or P6",
-                       off)
+        raise PnmError(f"unsupported magic {_quote(magic, token=True)}, "
+                       "expected P3 or P6", off)
     width, wm = read_int("width")
     height, hm = read_int("height")
     maxval, mm = read_int("maxval")
@@ -163,7 +177,7 @@ def load_pnm(raw: bytes) -> ImageRGB:
         raise PnmError(f"height must be >= 1, got {height}", hm.start(1))
     if maxval != 255:
         raise PnmError(f"only maxval 255 is supported, got "
-                       f"{_quote(str(maxval), str)}", mm.start(1))
+                       f"{_quote(maxval, str)}", mm.start(1))
 
     n = width * height * 3
     pos = mm.end()
@@ -190,13 +204,14 @@ def load_pnm(raw: bytes) -> ImageRGB:
                 if not m[1]:
                     raise PnmError(f"truncated payload, sample {i} of {n} "
                                    "is missing", m.start(1))
-                raise PnmError(f"invalid sample {_quote(m[1])}", m.start(1))
+                raise PnmError(f"invalid sample {_quote(m[1], token=True)}",
+                               m.start(1))
             if v > 255:
-                raise PnmError(f"sample {_quote(str(v), str)} out of range "
+                raise PnmError(f"sample {_quote(v, str)} out of range "
                                "[0, 255]", m.start(1))
             data[i] = v
 
-    return ImageRGB(width, height, data.reshape(height, width, 3))
+    return ImageRGB(data.reshape(height, width, 3))
 
 
 def save_pnm(img: ImageRGB) -> bytes:
@@ -223,7 +238,7 @@ def rgb_to_cbcr(img: ImageRGB) -> ImageCbCr:
     index += b
     index -= g * np.int32(512)
     out = _cbcr_of_differences().take(index, axis=0)
-    return ImageCbCr(img.width, img.height, out)
+    return ImageCbCr(out)
 
 
 @functools.cache
@@ -247,7 +262,7 @@ def cbcr_to_rgb(img: ImageCbCr) -> ImageRGB:
     for in-gamut pixels. Each pixel is a lookup in `_rgb_of_chroma`.
     """
     rgb = _rgb_of_chroma()[img.data[:, :, 0], img.data[:, :, 1]]
-    return ImageRGB(img.width, img.height, rgb)
+    return ImageRGB(rgb)
 
 
 @functools.cache

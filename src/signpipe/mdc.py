@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image import ImageCbCr, ImageGray, _finite, _int_in, _quote
+from .image import ImageCbCr, ImageGray, _finite, _int_in, _kind, _quote
 
 # the shipped 8-bit center file, in class order
 DEFAULT_CENTERS = ((127, 128), (88, 151), (116, 157), (109, 180))
@@ -41,9 +41,7 @@ class ClassCenterFile:
         n = self.dims * self.num_classes
         self.cells = [0] * n if self.cells is None else self.cells
         for attr, v in [("cells", self.cells), ("names", self.names)]:
-            if not isinstance(v, (list, type(None))):
-                raise ValueError(f"{attr} must be a list, "
-                                 f"not {type(v).__name__}")
+            _kind(attr, v, (list, type(None)), "a list")
         if len(self.cells) != n:
             raise ValueError(f"expected {n} cells, got {len(self.cells)}")
         for i, v in enumerate(self.cells):
@@ -59,13 +57,9 @@ class ClassCenterFile:
     @classmethod
     def from_centers(cls, centers, resolution_bits=8, names=None):
         """The file of `centers`, one per class, each value as given."""
-        if not isinstance(centers, (list, tuple)):
-            raise ValueError(f"centers must be a list or tuple, "
-                             f"not {type(centers).__name__}")
+        _kind("centers", centers, (list, tuple), "a list or tuple")
         for j, center in enumerate(centers):
-            if not isinstance(center, (list, tuple)):
-                raise ValueError(f"center {j} must be a list or tuple, "
-                                 f"not {type(center).__name__}")
+            _kind(f"center {j}", center, (list, tuple), "a list or tuple")
         dims = len(centers[0]) if centers else 0  # [] fails the class count
         if any(len(center) != dims for center in centers):
             raise ValueError("inconsistent center dimensions")
@@ -122,18 +116,26 @@ def classify_image(file: ClassCenterFile, img: ImageCbCr) -> ImageGray:
     The classifier is tabulated for all 65,536 (Cb, Cr), once per center
     file; a pixel's two bytes, as one little-endian 16-bit key, index it.
     """
-    if file.dims != 2:
-        raise ValueError(f"chroma classification needs dims=2, got {file.dims}")
+    _chroma_centers(file)
     table = _nearest_center_table(tuple(file.cells)).reshape(-1)
     key = img.data.view("<u2")[:, :, 0]
-    return ImageGray(img.width, img.height, table.take(key))
+    return ImageGray(table.take(key))
+
+
+def _chroma_centers(file):
+    """Refuse all but a 2-D, 8-bit `ClassCenterFile`, as chroma is."""
+    _kind("centers", file, ClassCenterFile, "a ClassCenterFile")
+    if file.dims != 2:
+        raise ValueError("pipeline needs 2-dimensional (Cb, Cr) centers")
+    if (bits := file.resolution_bits) != 8:
+        raise ValueError(f"pipeline needs 8-bit centers, got {bits}-bit")
 
 
 def _vector(what, x, dims):
     """x as a tuple of `dims` values, else a ValueError naming `what`."""
     if not isinstance(x, Iterable) or len(x := tuple(x)) != dims:
         raise ValueError(f"{what} must be a sequence of length {dims}, "
-                         f"got {_quote(repr(x), str)}")
+                         f"got {_quote(x)}")
     return x
 
 
@@ -196,6 +198,7 @@ def simulate_pipeline(model: PipelineModel, file: ClassCenterFile, schedule):
     """
     if (model.dims, model.num_classes) != (file.dims, file.num_classes):
         raise ValueError("model and register file disagree on dims/classes")
+    _kind("schedule", schedule, Iterable, "a sequence of feature vectors")
     stages = [stage for d in range(model.dims) for stage in (
         functools.partial(_subtract, file.centers(), d), _absolute,
         _accumulate)] + [_select] * model.selection_levels
@@ -223,8 +226,8 @@ def estimate_frame_rate(frequency_hz, width, height):
         return frequency_hz / (width * height)
     except OverflowError:
         # a pixel count past the float range
-        raise ValueError(f"frame size {_quote(str(width), str)}x"
-                         f"{_quote(str(height), str)} is too large") from None
+        raise ValueError(f"frame size {_quote(width, str)}x"
+                         f"{_quote(height, str)} is too large") from None
 
 
 # --- JSON center-file format --------------------------------------------

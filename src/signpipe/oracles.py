@@ -27,11 +27,11 @@ pairwise `<=` tree. Each checks the 65,536-entry lookup table of
 
 import numpy as np
 
+from . import trainer
 from .ccl import ComponentFeatures
 from .filters import GAUSSIAN_DIVISOR, GAUSSIAN_KERNEL, stream_window
 from .image import _CB_COEF, _CR_COEF, ImageCbCr, ImageGray, ImageRGB
 from .mdc import classify
-from .trainer import TOLERANCE, ClusterResult
 
 
 def flood_fill_label(seg: ImageGray, skip=frozenset()):
@@ -69,7 +69,7 @@ def flood_fill_label(seg: ImageGray, skip=frozenset()):
                         stack.append((nx, ny))
             feats.append(acc)
             next_id += 1
-    return ImageGray(w, h, labels), feats
+    return ImageGray(labels), feats
 
 
 def dot_rgb_to_cbcr(img: ImageRGB) -> ImageCbCr:
@@ -85,7 +85,7 @@ def dot_rgb_to_cbcr(img: ImageRGB) -> ImageCbCr:
         v += 128_500_000
         v //= 1_000_000
         out[:, :, ch] = np.minimum(v, 255, out=v)
-    return ImageCbCr(img.width, img.height, out)
+    return ImageCbCr(out)
 
 
 def _stream_filter_plane(plane, window_fn):
@@ -108,7 +108,7 @@ def stream_gaussian3x3(img: ImageCbCr) -> ImageCbCr:
     for ch in range(2):
         out[:, :, ch] = _stream_filter_plane(
             img.data[:, :, ch].astype(np.int64), _gaussian_cell)
-    return ImageCbCr(img.width, img.height, out)
+    return ImageCbCr(out)
 
 
 def _median_cell(cells):
@@ -119,7 +119,7 @@ def stream_median3x3(labels: ImageGray) -> ImageGray:
     """The median filter one window at a time off the line buffer,
     sorting each window."""
     out = _stream_filter_plane(labels.data, _median_cell)
-    return ImageGray(labels.width, labels.height, out)
+    return ImageGray(out)
 
 
 def scalar_classify_image(centers, chroma: ImageCbCr) -> ImageGray:
@@ -129,8 +129,7 @@ def scalar_classify_image(centers, chroma: ImageCbCr) -> ImageGray:
                               | chroma.data[:, :, 1], return_inverse=True)
     labels = np.array([classify(centers, divmod(k, 256))
                        for k in keys.tolist()])
-    return ImageGray(chroma.width, chroma.height,
-                     labels[inverse].reshape(chroma.height, chroma.width))
+    return ImageGray(labels[inverse].reshape(chroma.height, chroma.width))
 
 
 def loop_converge(samples, config):
@@ -144,13 +143,13 @@ def loop_converge(samples, config):
     converged = np.empty_like(seeds)
     for i, seed in enumerate(seeds):
         y = seed
-        for _ in range(config.max_iterations):
+        for _ in range(trainer.MAX_ITERATIONS):
             d2 = ((pts - y) ** 2).sum(axis=1)
             inside = pts[d2 <= config.bandwidth ** 2]
             new = inside.mean(axis=0) if len(inside) else y
             shift = np.hypot(*(new - y))
             y = new
-            if shift < TOLERANCE:
+            if shift < trainer.TOLERANCE:
                 break
         converged[i] = y
     return converged
@@ -175,4 +174,4 @@ def loop_merge_modes(converged, merge_radius):
                    key=lambda k: (-support[k], modes[k][0], modes[k][1]))
     out_modes = [tuple(int(np.floor(v * 255.0 + 0.5)) for v in modes[k])
                  for k in order]
-    return ClusterResult(out_modes, [support[k] for k in order])
+    return trainer.ClusterResult(out_modes, [support[k] for k in order])

@@ -17,9 +17,11 @@ from . import oracles
 from .ccl import label_components
 from .detector import DetectionRule, annotate, detect
 from .filters import gaussian3x3, median3x3
-from .image import ImageGray, ImageRGB, _finite, _int_in, _quote, rgb_to_cbcr
+from .image import (ImageGray, ImageRGB, _finite, _int_in, _kind, _quote,
+                    rgb_to_cbcr)
 from .mdc import (DEFAULT_CENTERS, DEFAULT_NAMES, ClassCenterFile,
-                  PipelineModel, classify_image, estimate_frame_rate)
+                  PipelineModel, _chroma_centers, classify_image,
+                  estimate_frame_rate)
 
 DEFAULT_CLOCK_MHZ = 170.0
 
@@ -40,16 +42,14 @@ class PipelineConfig:
     clock_mhz: float = DEFAULT_CLOCK_MHZ
 
     def __post_init__(self):
-        if self.centers.dims != 2:
-            raise ValueError("pipeline needs 2-dimensional (Cb, Cr) centers")
-        if (bits := self.centers.resolution_bits) != 8:
-            raise ValueError(f"pipeline needs 8-bit centers, got {bits}-bit")
+        _chroma_centers(self.centers)
+        _kind("rule", self.rule, DetectionRule, "a DetectionRule")
         _finite("clock_mhz", self.clock_mhz)
         try:
             self.skip_classes = frozenset(self.skip_classes)
         except TypeError:   # not iterable, or a member not hashable
             raise ValueError("skip_classes must be a set of ints, got "
-                             + _quote(repr(self.skip_classes), str)) from None
+                             + _quote(self.skip_classes)) from None
         for role, idx in ([("skip", i) for i in self.skip_classes]
                           + [("target", self.rule.target_class)]):
             _int_in(f"{role} class", idx, 0, self.centers.num_classes - 1)
@@ -164,7 +164,7 @@ def render_labels(labels: ImageGray, num_levels=None, color=False) -> ImageRGB:
         gray = (labels.data * 255) // (num_levels - 1)
         gray = np.clip(gray, 0, 255).astype(np.uint8)
         rgb = np.repeat(gray[:, :, None], 3, axis=2)
-    return ImageRGB(labels.width, labels.height, rgb)
+    return ImageRGB(rgb)
 
 
 def verify_frame(config: PipelineConfig, rgb: ImageRGB):

@@ -21,7 +21,7 @@ MAX_SIDE = 4096  # largest frame side disc_frame paints
 def chroma_constant(width, height, chroma) -> ImageCbCr:
     data = np.empty((height, width, 2), dtype=np.uint8)
     data[:, :] = chroma
-    return ImageCbCr(width, height, data)
+    return ImageCbCr(data)
 
 
 def paint_disc(img: ImageCbCr, cx, cy, radius, chroma):
@@ -44,7 +44,7 @@ def add_chroma_noise(img: ImageCbCr, sigma, seed) -> ImageCbCr:
     noisy += 0.5
     np.floor(noisy, out=noisy)
     np.clip(noisy, 0, 255, out=noisy)
-    return ImageCbCr(img.width, img.height, noisy.astype(np.uint8))
+    return ImageCbCr(noisy.astype(np.uint8))
 
 
 def disc_frame(width=200, height=200, radius=30, ring=10,

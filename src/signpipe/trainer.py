@@ -2,10 +2,10 @@
 
 Flat-kernel mode seeking (Comaniciu & Meer, TPAMI 2002): every seed, one
 sample in `seed_stride`, moves to the mean of the samples within the
-bandwidth radius until the shift is below `TOLERANCE`, then convergence
-points within half the bandwidth collapse into modes. Features are
-normalized to [0, 1] before the bandwidth applies, so the bandwidth is
-dimensionless.
+bandwidth radius until the shift is below `TOLERANCE` or for
+`MAX_ITERATIONS` steps, then convergence points within half the bandwidth
+collapse into modes. Features are normalized to [0, 1] before the
+bandwidth applies, so the bandwidth is dimensionless.
 
 Chroma is 8-bit, so a frame holds few distinct (Cb, Cr) values, and a
 seed's path depends only on its value. `converge` therefore steps every
@@ -50,14 +50,15 @@ from .mdc import ClassCenterFile, _centers_json, centers_to_json
 # float64, whatever the sample count
 _BLOCK = 1 << 18
 
-# a seed stops once its step moves it less than this, in normalized units
+# a seed stops once its step moves it less than this, in normalized units,
+# or after MAX_ITERATIONS steps
 TOLERANCE = 1e-4
+MAX_ITERATIONS = 500
 
 
 @dataclass
 class MeanShiftConfig:
     bandwidth: float = 0.05
-    max_iterations: int = 500
     seed_stride: int = 4
 
     def __post_init__(self):
@@ -65,7 +66,6 @@ class MeanShiftConfig:
         if bw * bw > sys.float_info.max:  # converge squares it; ints exactly
             raise ValueError(f"bandwidth must be finite and > 0, got {bw}; "
                              f"its square must be finite too")
-        _int_in("max_iterations", self.max_iterations, 1)
         _int_in("seed_stride", self.seed_stride, 1)
 
 
@@ -111,7 +111,7 @@ def converge(samples, config: MeanShiftConfig) -> np.ndarray:
     buf = np.empty((2, rows, len(values)))
     for lo in range(0, len(seeds), rows):
         active = np.arange(lo, min(lo + rows, len(seeds)))
-        for step in range(config.max_iterations):
+        for step in range(MAX_ITERATIONS):
             # seeds at the same point take the same step: take it once.
             # Each (cb, cr) row is one complex value to np.unique, which
             # sorts and compares it as the pair, 6x faster than axis=0
@@ -130,7 +130,7 @@ def converge(samples, config: MeanShiftConfig) -> np.ndarray:
             new = np.where(n > 0, sums[:, 1:] / np.maximum(n, 1) / 255.0, p)
             shift = np.hypot(*(new - p).T)
             last = shift < TOLERANCE
-            if step == config.max_iterations - 1:
+            if step == MAX_ITERATIONS - 1:
                 last[:] = True
             # a stopping point's last step again, over the samples in
             # sample order, once per distinct neighborhood, which is all

@@ -9,7 +9,7 @@ from signpipe.oracles import flood_fill_label
 
 def gray(rows):
     arr = np.array(rows)
-    return ImageGray(arr.shape[1], arr.shape[0], arr)
+    return ImageGray(arr)
 
 
 def class_images(max_side=12, num_classes=3):
@@ -19,7 +19,7 @@ def class_images(max_side=12, num_classes=3):
         lambda w: st.integers(1, max_side).flatmap(
             lambda h: st.lists(st.integers(0, num_classes - 1),
                                min_size=w * h, max_size=w * h).map(
-                lambda vals: ImageGray(w, h, np.array(vals).reshape(h, w)))))
+                lambda vals: ImageGray(np.array(vals).reshape(h, w)))))
     skips = st.one_of(st.just(frozenset()), st.just(frozenset({0})),
                       st.frozensets(st.integers(0, num_classes - 1),
                                     min_size=1))
@@ -33,7 +33,7 @@ def serpentine(n):
     a[::2] = 1
     for y in range(1, n, 2):
         a[y, n - 1 if y % 4 == 1 else 0] = 1
-    return ImageGray(n, n, a)
+    return ImageGray(a)
 
 
 def spiral(n):
@@ -54,7 +54,7 @@ def spiral(n):
         else:
             dy, dx = dx, -dy
             turns += 1
-    return ImageGray(n, n, a)
+    return ImageGray(a)
 
 
 class TestLabelComponents:

@@ -143,7 +143,7 @@ def test_verify_subcommand(tmp_path, capsys):
 def _flip_first(img):
     data = img.data.copy()
     data.reshape(-1)[0] ^= 1
-    return type(img)(img.width, img.height, data)
+    return type(img)(data)
 
 
 def _drop_last_component(real):

@@ -73,7 +73,7 @@ class TestDetect:
 
     def test_int_too_long_for_str_is_refused_as_a_decimal(self):
         with pytest.raises(ValueError, match="^ratio_max must be a finite "
-                           "decimal, got '<int too long>'"):
+                           "decimal, got '<int of 16610 bits>'"):
             DetectionRule(ratio_max=10 ** 5000)
 
     def test_rule_invariants(self):
@@ -94,7 +94,7 @@ class TestDetect:
 
 class TestAnnotate:
     def blank(self, w=30, h=30):
-        return ImageRGB(w, h, np.full((h, w, 3), 50, dtype=np.uint8))
+        return ImageRGB(np.full((h, w, 3), 50, dtype=np.uint8))
 
     def test_empty_list_unchanged(self):
         img = self.blank()

@@ -25,7 +25,7 @@ def rgb_images(max_side=12):
             lambda h: st.lists(st.integers(0, 255),
                                min_size=w * h * 3, max_size=w * h * 3).map(
                 lambda vals: ImageRGB(
-                    w, h, np.array(vals, dtype=np.uint8).reshape(h, w, 3)))))
+                    np.array(vals, dtype=np.uint8).reshape(h, w, 3)))))
 
 
 def pnm_like():
@@ -294,8 +294,7 @@ class TestP3Reader:
 
     def test_peak_memory_per_payload_byte(self):
         rng = np.random.default_rng(0)
-        img = ImageRGB(640, 480, rng.integers(0, 256, (480, 640, 3),
-                                              dtype=np.uint8))
+        img = ImageRGB(rng.integers(0, 256, (480, 640, 3), dtype=np.uint8))
         header = b"P3\n640 480\n255\n"
         lines = img.data.reshape(-1, 15).tolist()
         raw = header + b"\n".join(b" ".join(b"%d" % v for v in line)
@@ -313,11 +312,11 @@ class TestP3Reader:
 
 class TestSavePnm:
     def test_white_pixel(self):
-        img = ImageRGB(1, 1, np.full((1, 1, 3), 255, dtype=np.uint8))
+        img = ImageRGB(np.full((1, 1, 3), 255, dtype=np.uint8))
         assert save_pnm(img) == b"P6\n1 1\n255\n\xff\xff\xff"
 
     def test_payload_size(self):
-        img = ImageRGB(2, 2, np.zeros((2, 2, 3), dtype=np.uint8))
+        img = ImageRGB(np.zeros((2, 2, 3), dtype=np.uint8))
         raw = save_pnm(img)
         header = b"P6\n2 2\n255\n"
         assert raw.startswith(header)
@@ -337,12 +336,12 @@ class TestRgbToCbcr:
         ((255, 0, 0), (85, 255)),
     ])
     def test_known_pixels(self, rgb, expected):
-        img = ImageRGB(1, 1, np.array(rgb, dtype=np.uint8).reshape(1, 1, 3))
+        img = ImageRGB(np.array(rgb, dtype=np.uint8).reshape(1, 1, 3))
         assert tuple(rgb_to_cbcr(img).data[0, 0]) == expected
 
     @given(st.integers(0, 255))
     def test_achromatic_maps_to_midpoint(self, v):
-        img = ImageRGB(1, 1, np.full((1, 1, 3), v, dtype=np.uint8))
+        img = ImageRGB(np.full((1, 1, 3), v, dtype=np.uint8))
         assert tuple(rgb_to_cbcr(img).data[0, 0]) == (128, 128)
 
     @given(rgb_images(max_side=8))
@@ -361,7 +360,7 @@ class TestRgbToCbcr:
         img = data.draw(rgb_images(max_side=6))
         k = data.draw(st.integers(-int(img.data.min()),
                                   255 - int(img.data.max())))
-        shifted = ImageRGB(img.width, img.height, img.data + np.int16(k))
+        shifted = ImageRGB(img.data + np.int16(k))
         assert convert(shifted) == convert(img)
 
     def test_table_is_read_only(self):
@@ -386,7 +385,7 @@ class TestRgbToCbcr:
             expected = np.stack([128.0 + f @ cb_coef, 128.0 + f @ cr_coef],
                                 axis=-1)
             expected = np.clip(np.floor(expected + 0.5), 0, 255)
-            got = rgb_to_cbcr(ImageRGB(rgb.shape[1], 16, rgb)).data
+            got = rgb_to_cbcr(ImageRGB(rgb)).data
             assert np.array_equal(got, expected), f"red levels {r0}..{r0 + 15}"
 
     def test_inverse_exhaustive_against_float_formula(self):
@@ -400,28 +399,20 @@ class TestRgbToCbcr:
                              128 - 0.344136 * cb - 0.714136 * cr,
                              128 + 1.772 * cb], axis=-1)
         expected = np.clip(np.floor(expected + 0.5), 0, 255)
-        got = cbcr_to_rgb(ImageCbCr(256, 256, chroma.reshape(256, 256, 2)))
+        got = cbcr_to_rgb(ImageCbCr(chroma.reshape(256, 256, 2)))
         assert np.array_equal(got.data.reshape(-1, 3), expected)
 
     def test_inverse_is_close_for_midrange_chroma(self):
         # round trip through the synthetic-frame path stays within 1 level
         from signpipe.image import ImageCbCr
-        chroma = ImageCbCr(1, 1, np.array([[[88, 151]]], dtype=np.uint8))
+        chroma = ImageCbCr(np.array([[[88, 151]]], dtype=np.uint8))
         back = rgb_to_cbcr(cbcr_to_rgb(chroma))
         assert np.abs(back.data.astype(int) - chroma.data.astype(int)).max() <= 1
 
 
 def test_dimension_invariants():
-    with pytest.raises(ValueError, match=re.escape(
-            "width must be an int >= 1, got 0")):
-        ImageRGB(0, 1, np.zeros((1, 0, 3), dtype=np.uint8))
-    with pytest.raises(ValueError):
-        ImageRGB(2, 2, np.zeros((2, 3, 3), dtype=np.uint8))
-    # the sides of an image and the settings of the synthetic frame
-    pixel = np.zeros((1, 1, 3), dtype=np.uint8)
-    calls = [(lambda v: ImageRGB(v, 1, pixel), "width", 1, None),
-             (lambda v: ImageRGB(1, v, pixel), "height", 1, None),
-             (lambda v: disc_frame(width=v), "width", 1, MAX_SIDE),
+    # the settings of the synthetic frame
+    calls = [(lambda v: disc_frame(width=v), "width", 1, MAX_SIDE),
              (lambda v: disc_frame(height=v), "height", 1, MAX_SIDE)]
     calls += [(lambda v, name=name: disc_frame(**{name: v}), name, 0, None)
               for name in ("radius", "ring", "seed")]
@@ -434,18 +425,37 @@ def test_dimension_invariants():
             call(v)
 
 
-@pytest.mark.parametrize("cls,dtype,channels", [
+CONTAINERS = pytest.mark.parametrize("cls,dtype,channels", [
     (ImageRGB, np.uint8, (3,)), (ImageCbCr, np.uint8, (2,)),
     (ImageGray, np.int32, ())])
+
+
+@CONTAINERS
 def test_container_shape_dtype_and_equality(cls, dtype, channels):
     data = np.arange(3 * 2 * int(np.prod(channels))).reshape((3, 2) + channels)
-    img = cls(2, 3, data[:, ::-1])    # a strided view of int64 values
+    img = cls(data[:, ::-1])          # a strided view of int64 values
     assert img.data.dtype == dtype and img.data.flags.c_contiguous
-    assert img == cls(2, 3, data[:, ::-1].copy())
-    assert img != cls(2, 3, data)
+    assert img == cls(data[:, ::-1].copy())
+    assert img != cls(data)
+    assert img != cls(data[:2])       # another size
     assert img != data[:, ::-1]       # only an image equals an image
-    with pytest.raises(ValueError):
-        cls(3, 2, data)
+
+
+@CONTAINERS
+def test_container_size_is_the_shape_of_its_pixels(cls, dtype, channels):
+    img = cls(np.zeros((3, 2) + channels))
+    assert (img.width, img.height) == (2, 3)
+    for attr in ("width", "height", "data"):    # the size stays the array's
+        with pytest.raises(AttributeError):
+            setattr(img, attr, np.zeros((2, 0) + channels))
+    # a zero side, a wrong channel count, too few and too many axes
+    extra = (channels[0] + 1,) if channels else (1,)
+    for shape in [(0, 2) + channels, (3, 0) + channels, (3, 2) + extra,
+                  (6,) + channels, (1, 3, 2) + channels]:
+        with pytest.raises(ValueError, match=re.escape(
+                f"{cls.__name__} needs shape (h >= 1, w >= 1) + {channels}, "
+                f"got {shape}")):
+            cls(np.zeros(shape, dtype))
 
 
 def test_type_checks_of_numbers_live_only_in_the_rule_helpers():

@@ -1,5 +1,6 @@
 import json
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -171,6 +172,21 @@ REAL_ROWS = [(f"frequency_{kind}",
     (lambda: simulate_pipeline(PipelineModel(1, 2), ClassCenterFile(1, 2),
                                [5]),
      "schedule entry at cycle 0 must be a sequence of length 1, got 5"),
+    (lambda: simulate_pipeline(PipelineModel(2, 2), ClassCenterFile(2, 2), 5),
+     "schedule must be a sequence of feature vectors, not int"),
+    # the classifier's own rule: it classified 8-bit chroma with them
+    (lambda: classify_image(
+        ClassCenterFile.from_centers([(8, 8), (5, 9), (7, 10)],
+                                     resolution_bits=4),
+        ImageCbCr(np.array([[[8, 8], [120, 150]]], np.uint8))),
+     "pipeline needs 8-bit centers, got 4-bit"),
+    # numbers past the 4300 digits Python prints, shown by their size
+    (lambda: PipelineModel(-10 ** 5000, 2),
+     "dims must be an int >= 1, got <int of 16610 bits>"),
+    (lambda: estimate_frame_rate(1e6, 10 ** 5000, 1),
+     "frame size <int of 16610 bits>x1 is too large"),
+    (lambda: estimate_frame_rate(Fraction(-10 ** 5000), 1, 1),
+     "frequency must be finite and > 0, got <Fraction too long>"),
 ] + [row[1:] for row in INT_ROWS + REAL_ROWS],
    ids=["zero_dims", "cell_above_range", "names_length",
         "names_length_counts", "ragged_centers", "program_above_range",
@@ -181,7 +197,10 @@ REAL_ROWS = [(f"frequency_{kind}",
         "float_model_classes", "model_bits_above_32", "int_cells",
         "int_names", "int_center", "float_address", "float_class_index",
         "int_centers", "int_feature_vector", "long_feature_vector",
-        "int_schedule_entry"] + [row[0] for row in INT_ROWS + REAL_ROWS])
+        "int_schedule_entry", "int_schedule", "classify_4bit",
+        "huge_dims", "huge_frame_width",
+        "huge_fraction_frequency"]
+   + [row[0] for row in INT_ROWS + REAL_ROWS])
 def test_error_message(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
@@ -279,19 +298,19 @@ class TestClassifyImage:
     def test_constant_image_at_center(self):
         data = np.empty((3, 4, 2), dtype=np.uint8)
         data[:, :] = (116, 157)
-        out = classify_image(default_file(), ImageCbCr(4, 3, data))
+        out = classify_image(default_file(), ImageCbCr(data))
         assert np.all(out.data == 2)
 
     def test_single_pixel(self):
         data = np.array([[[88, 151]]], dtype=np.uint8)
-        out = classify_image(default_file(), ImageCbCr(1, 1, data))
+        out = classify_image(default_file(), ImageCbCr(data))
         assert out.data[0, 0] == 1
 
     def test_matches_per_pixel_oracle(self):
         rng = np.random.default_rng(3)
         data = rng.integers(0, 256, (16, 16, 2), dtype=np.uint8)
         f = default_file()
-        out = classify_image(f, ImageCbCr(16, 16, data))
+        out = classify_image(f, ImageCbCr(data))
         for y in range(16):
             for x in range(16):
                 expected = classify(f, data[y, x].tolist())
@@ -304,31 +323,26 @@ class TestClassifyImage:
         ClassCenterFile.from_centers([(0, 0), (255, 255), (0, 255), (255, 0)]),
         # a duplicated center never wins under its higher index
         ClassCenterFile.from_centers([(60, 200), (128, 128), (60, 200)]),
-        # 9-bit centers may lie outside the 8-bit chroma range
-        ClassCenterFile.from_centers([(300, 100), (127, 128), (511, 511)],
-                                     resolution_bits=9),
-        ClassCenterFile.from_centers([(40000, 3), (200, 30000), (9, 250)],
-                                     resolution_bits=16),
-    ], ids=["default", "tie_lines", "tie_corners", "duplicate", "9bit",
-            "16bit"])
+    ], ids=["default", "tie_lines", "tie_corners", "duplicate"])
     def test_exhaustive_against_scalar_classify(self, f):
         cb, cr = np.meshgrid(np.arange(256), np.arange(256), indexing="ij")
         data = np.stack([cb, cr], axis=-1).astype(np.uint8)
-        out = classify_image(f, ImageCbCr(256, 256, data))
+        out = classify_image(f, ImageCbCr(data))
         expected = [[classify(f, (x, y)) for y in range(256)]
                     for x in range(256)]
         assert out.data.tolist() == expected
 
     def test_wrong_dimension_count(self):
         f = ClassCenterFile(3, 2)
-        with pytest.raises(ValueError):
-            classify_image(f, ImageCbCr(1, 1, np.zeros((1, 1, 2), np.uint8)))
+        with pytest.raises(ValueError, match=re.escape(
+                "pipeline needs 2-dimensional (Cb, Cr) centers")):
+            classify_image(f, ImageCbCr(np.zeros((1, 1, 2), np.uint8)))
 
     def test_reflects_a_programmed_center(self):
         # the table is built once per register contents, so a write to
         # the register file must reach the next classification
         f = default_file()
-        pixel = ImageCbCr(1, 1, np.array([[[10, 240]]], dtype=np.uint8))
+        pixel = ImageCbCr(np.array([[[10, 240]]], dtype=np.uint8))
         assert classify_image(f, pixel).data[0, 0] == 3
         program_center(f, 0, 10)
         program_center(f, 1, 240)

@@ -38,7 +38,7 @@ def features(rgb, config=None):
 
 
 def transposed(rgb):
-    return ImageRGB(rgb.height, rgb.width, rgb.data.transpose(1, 0, 2))
+    return ImageRGB(rgb.data.transpose(1, 0, 2))
 
 
 @pytest.mark.parametrize("filters", [True, False], ids=["filters", "raw"])
@@ -136,10 +136,13 @@ SETTING_ROWS = ([(f"skip_{kind}", {"skip_classes": {v}}, message)
      "skip class must be an int in [0, 3], got True"),
     ({"skip_classes": 5}, "skip_classes must be a set of ints, got 5"),
     ({"skip_classes": [[0]]}, "skip_classes must be a set of ints, got [[0]]"),
+    ({"centers": 5}, "centers must be a ClassCenterFile, not int"),
+    ({"rule": 5}, "rule must be a DetectionRule, not int"),
 ] + [row[1:] for row in SETTING_ROWS],
    ids=["skip_past_end", "negative_skip", "target_past_end",
         "three_dim_centers", "fractional_skip", "bool_skip", "int_skip_set",
-        "unhashable_skip"] + [row[0] for row in SETTING_ROWS])
+        "unhashable_skip", "int_centers", "int_rule"]
+   + [row[0] for row in SETTING_ROWS])
 def test_config_refuses_class_indices_outside_the_center_file(kwargs, message):
     # the shipped center file has 4 classes
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -150,7 +153,7 @@ def test_config_refuses_class_indices_outside_the_center_file(kwargs, message):
 def verify_cases(draw):
     w, h = draw(st.integers(1, 12)), draw(st.integers(1, 12))
     pixels = draw(st.binary(min_size=w * h * 3, max_size=w * h * 3))
-    rgb = ImageRGB(w, h, np.frombuffer(pixels, dtype=np.uint8).reshape(h, w, 3))
+    rgb = ImageRGB(np.frombuffer(pixels, dtype=np.uint8).reshape(h, w, 3))
     classes = draw(st.integers(2, 8))
     cells = draw(st.lists(st.integers(0, 255), min_size=2 * classes,
                           max_size=2 * classes))
