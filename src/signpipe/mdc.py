@@ -85,7 +85,7 @@ def program_center(file: ClassCenterFile, addr, value):
 def classify(file: ClassCenterFile, x):
     """Index of the center nearest to x in Manhattan distance; ties break
     to the smallest class index. The scalar reference for any D."""
-    x = _vector("feature vector", x, file.dims)
+    x = _vector("feature vector", x, file.dims, file.resolution_bits)
     dists = [sum(abs(a - b) for a, b in zip(x, center))
              for center in file.centers()]
     return dists.index(min(dists))
@@ -131,11 +131,14 @@ def _chroma_centers(file):
         raise ValueError(f"pipeline needs 8-bit centers, got {bits}-bit")
 
 
-def _vector(what, x, dims):
-    """x as a tuple of `dims` values, else a ValueError naming `what`."""
+def _vector(what, x, dims, bits):
+    """x as a tuple of `dims` ints that fit in `bits`, else a ValueError
+    naming `what`."""
     if not isinstance(x, Iterable) or len(x := tuple(x)) != dims:
         raise ValueError(f"{what} must be a sequence of length {dims}, "
                          f"got {_quote(x)}")
+    for i, v in enumerate(x):
+        _int_in(f"{what} component {i}", v, 0, (1 << bits) - 1)
     return x
 
 
@@ -202,7 +205,8 @@ def simulate_pipeline(model: PipelineModel, file: ClassCenterFile, schedule):
     stages = [stage for d in range(model.dims) for stage in (
         functools.partial(_subtract, file.centers(), d), _absolute,
         _accumulate)] + [_select] * model.selection_levels
-    schedule = [_vector(f"schedule entry at cycle {cycle}", x, model.dims)
+    schedule = [_vector(f"schedule entry at cycle {cycle}", x, model.dims,
+                        model.resolution_bits)
                 for cycle, x in enumerate(schedule)]
     start = [(0, j) for j in range(model.num_classes)]
     regs = [None] * len(stages)

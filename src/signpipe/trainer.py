@@ -7,17 +7,16 @@ bandwidth radius until the shift is below `TOLERANCE` or for
 collapse into modes. Features are normalized to [0, 1] before the
 bandwidth applies, so the bandwidth is dimensionless.
 
-Chroma is 8-bit, so a frame holds few distinct (Cb, Cr) values, and a
-seed's path depends only on its value. `converge` therefore steps every
-distinct seed value at once against the distinct sample values, a block
-of seeds at a time. Seeds that reach the same point take the same path
-from then on, so each step is taken once per distinct point and mapped
-back to its seeds. The neighborhood sums are a float64 product of the
-0/1 mask with (count, count*Cb, count*Cr); these are integers below
-2**53, so the sums are exact. The distance and the stop test are the
-per-seed loop's own expressions. As a point stops, its last step is
-taken again over the original samples, as the per-seed loop takes it:
-the mean of the samples within the bandwidth, summed in sample order.
+Chroma is 8-bit, so a seed's path depends only on its value: `converge`
+steps the distinct seed values at once, a block at a time, taking a step
+once per distinct point. A step sums from prefix sums of the 256x256
+count grid along each Cb row, a summed-area table (Crow, SIGGRAPH 1984)
+one row at a time: the levels within the bandwidth on a row are one run,
+as the per-seed loop's distance only grows away from the point, and a
+run sums exactly (integers below 2**53) in two lookups. The circle places
+each run's ends and the loop's own float test moves them until it agrees,
+so a step costs a few operations per row, whatever the number of distinct
+values. A stopping point takes its last step again, as the loop sums it.
 
 A flat kernel's step depends only on which samples fall inside the
 radius. The stepped points differ from the per-seed loop's only by the
@@ -46,9 +45,12 @@ import numpy as np
 from .image import _finite, _int_in
 from .mdc import ClassCenterFile, _centers_json, centers_to_json
 
-# elements of each (seeds x distinct values) buffer of a step: 2 MB of
-# float64, whatever the sample count
+# a step's (points x rows) arrays hold at most 2 * _BLOCK elements of 8
+# bytes: 4 MB, whatever the sample count
 _BLOCK = 1 << 18
+
+# level / 255.0, as the per-seed loop divides; -1 and 256 are infinitely far
+_LEVEL = np.append(np.arange(256) / 255.0, np.inf)
 
 # a seed stops once its step moves it less than this, in normalized units,
 # or after MAX_ITERATIONS steps
@@ -95,20 +97,23 @@ def converge(samples, config: MeanShiftConfig) -> np.ndarray:
     if not ((pts >= 0) & (pts <= 255) & (pts == np.floor(pts))).all():
         raise ValueError("samples must be integer (Cb, Cr) values in [0, 255]")
     keys = (pts[:, 0] * 256 + pts[:, 1]).astype(np.intp)
-    values, sample_value, counts = np.unique(keys, return_inverse=True,
-                                             return_counts=True)
     seeds, seed_slot = np.unique(keys[::config.seed_stride],
                                  return_inverse=True)
     pts = pts / 255.0    # a new array: samples may be the caller's
-    cb, cr = values >> 8, values & 255
-    u_cb, u_cr = cb / 255.0, cr / 255.0
-    sums_of = np.column_stack([counts, counts * cb, counts * cr]
-                              ).astype(np.float64)
+    # prefix sums, after a zero, of count, count*Cb and count*Cr over the
+    # cells 256*Cb + Cr - base; clipped to its ends, cum reads past them
+    row, base = keys >> 8, int(keys.min())
+    cell = keys - base
+    cum = np.zeros((3, int(cell.max()) + 2))
+    for out, weight in zip(cum, (None, row, keys & 255)):
+        np.cumsum(np.bincount(cell, weight), out=out[1:])
     bw2 = config.bandwidth ** 2
+    reach = min(256, math.ceil(255 * float(config.bandwidth)))
+    span = min(256, 2 * reach + 3)    # the Cb rows a point can reach
     y = np.column_stack([seeds >> 8, seeds & 255]) / 255.0
     ends = {}    # the last step's end, per neighborhood
-    rows = max(1, min(len(seeds), _BLOCK // len(values)))
-    buf = np.empty((2, rows, len(values)))
+    # a step holds at most 10 (points x span) arrays of 8 bytes at once
+    rows = max(1, min(len(seeds), 2 * _BLOCK // (10 * span)))
     for lo in range(0, len(seeds), rows):
         active = np.arange(lo, min(lo + rows, len(seeds)))
         for step in range(MAX_ITERATIONS):
@@ -118,34 +123,59 @@ def converge(samples, config: MeanShiftConfig) -> np.ndarray:
             p, inv = np.unique(y[active].view(np.complex128).reshape(-1),
                                return_inverse=True)
             p = p.view(np.float64).reshape(-1, 2)
-            # the same float operations as the loop's distance, so the
-            # same values fall inside the radius
-            d2, dcr = buf[0, :len(p)], buf[1, :len(p)]
-            np.square(np.subtract(u_cb, p[:, :1], out=d2), out=d2)
-            np.square(np.subtract(u_cr, p[:, 1:], out=dcr), out=dcr)
-            d2 += dcr
-            np.less_equal(d2, bw2, out=d2)     # the 0/1 mask, in place
-            sums = d2 @ sums_of                # integers, exact
+            first, start, stop = _runs(p, bw2, reach, span, base)
+            sums = np.column_stack([(c.take(stop, mode="clip")
+                                     - c.take(start, mode="clip")).sum(axis=1)
+                                    for c in cum])
             n = sums[:, :1]
             new = np.where(n > 0, sums[:, 1:] / np.maximum(n, 1) / 255.0, p)
             shift = np.hypot(*(new - p).T)
             last = shift < TOLERANCE
             if step == MAX_ITERATIONS - 1:
                 last[:] = True
-            # a stopping point's last step again, over the samples in
-            # sample order, once per distinct neighborhood, which is all
-            # the step depends on; an empty neighborhood leaves it put
+            # a stopping point's last step again, in sample order, once per
+            # neighborhood (its runs, all a step reads); an empty one stays
             for j in np.flatnonzero(last & (n[:, 0] > 0)):
-                hit = d2[j] != 0
-                key = hit.tobytes()
+                key = start[j].tobytes() + stop[j].tobytes()
                 if key not in ends:
-                    ends[key] = pts[hit[sample_value]].mean(axis=0)
+                    run = np.zeros((2, 256), np.intp)    # per Cb row
+                    run[:, first[j]:first[j] + span] = start[j], stop[j]
+                    hit = (run[0, row] <= cell) & (cell < run[1, row])
+                    ends[key] = np.compress(hit, pts, axis=0).mean(axis=0)
                 new[j] = ends[key]
             y[active] = new[inv]
             active = active[~last[inv]]
             if not len(active):
                 break
     return y[seed_slot]
+
+
+def _runs(p, bw2, reach, span, base):
+    """Each point's neighborhood as one run of cells [start, stop) of
+    256*Cb + Cr - base on each of the `span` Cb rows from `first` on."""
+    p0, p1 = p[:, :1], p[:, 1:]
+    first = np.clip(np.floor(p0[:, 0] * 255) - (reach + 1), 0,
+                    256 - span).astype(np.intp)
+    dcb2 = np.square(_LEVEL.take(first[:, None] + np.arange(span)) - p0)
+    out = np.array([-1, 1])[:, None, None]
+    # each run's first and last level (last < first: empty) from the
+    # circle, rounded inward, clipped as floats: a huge bandwidth fits no int
+    bounds = out * np.floor(
+        (out * p1 + np.sqrt(np.maximum(float(bw2) - dcb2, 0))) * 255)
+    bounds = np.clip(bounds, 0, 255, out=bounds).astype(np.intp)
+
+    def d2(shift):    # the per-seed loop's distance, in its order
+        d = _LEVEL.take(bounds + shift) - p1
+        return np.square(d, out=d) + dcb2
+
+    # each end moves out while the next level out is inside, then in
+    while (move := d2(out) <= bw2).any():
+        bounds += out * move
+    while (move := (bounds[0] <= bounds[1]) & (d2(0) > bw2)).any():
+        bounds -= out * move
+    np.maximum(bounds[0], bounds[1] + 1, out=bounds[1])
+    bounds += ((first[:, None] + np.arange(span)) << 8) - base
+    return first, bounds[0], bounds[1]
 
 
 def merge_modes(converged, merge_radius) -> ClusterResult:

@@ -458,6 +458,24 @@ def test_container_size_is_the_shape_of_its_pixels(cls, dtype, channels):
             cls(np.zeros(shape, dtype))
 
 
+@pytest.mark.parametrize("cls,data", [
+    (ImageRGB, np.array([[[300, -1, 0]]])),     # held [44, 255, 0] before
+    (ImageRGB, np.array([[[1.7, 2.2, 0.0]]])),  # held [1, 2, 0] before
+    (ImageGray, np.array([[2 ** 40]])),         # held 0 before
+    (ImageCbCr, np.array([[[np.nan, 0.0]]])),
+    (ImageCbCr, np.array([[[1e300, 0.0]]])),
+    (ImageGray, np.array([[0.5]]))])
+def test_container_refuses_a_cast_that_changes_values(cls, data):
+    dtype = np.dtype(cls.dtype)
+    with pytest.raises(ValueError, match=re.escape(
+            f"{cls.__name__} needs values that {dtype} holds; casting the "
+            f"{data.dtype} data changes them")):
+        cls(data)
+    # the same array with every value in range is cast and kept
+    kept = cls(np.zeros_like(data) + 7)
+    assert kept.data.dtype == dtype and (kept.data == 7).all()
+
+
 def test_type_checks_of_numbers_live_only_in_the_rule_helpers():
     # `type(v) is int`, `isinstance(v, (int, np.integer))` and the like
     # anywhere in the package but image._int_in and image._finite are the

@@ -187,6 +187,22 @@ REAL_ROWS = [(f"frequency_{kind}",
      "frame size <int of 16610 bits>x1 is too large"),
     (lambda: estimate_frame_rate(Fraction(-10 ** 5000), 1, 1),
      "frequency must be finite and > 0, got <Fraction too long>"),
+    # feature values the registers cannot hold: a TypeError from the
+    # distance sum, or silently class 0, before
+    (lambda: classify(ClassCenterFile(2, 2), ("a", 1)),
+     "feature vector component 0 must be an int in [0, 255], got 'a'"),
+    (lambda: classify(ClassCenterFile(2, 2), (1.5, 2)),
+     "feature vector component 0 must be an int in [0, 255], got 1.5"),
+    (lambda: classify(ClassCenterFile(2, 2), (True, 1)),
+     "feature vector component 0 must be an int in [0, 255], got True"),
+    (lambda: classify(ClassCenterFile(2, 2), (-1, 3)),
+     "feature vector component 0 must be an int in [0, 255], got -1"),
+    (lambda: classify(ClassCenterFile(2, 2), (300, 0)),
+     "feature vector component 0 must be an int in [0, 255], got 300"),
+    (lambda: simulate_pipeline(PipelineModel(2, 2, 4), ClassCenterFile(2, 2),
+                               [(1, 2), (3, 16)]),
+     "schedule entry at cycle 1 component 1 must be an int in [0, 15], "
+     "got 16"),
 ] + [row[1:] for row in INT_ROWS + REAL_ROWS],
    ids=["zero_dims", "cell_above_range", "names_length",
         "names_length_counts", "ragged_centers", "program_above_range",
@@ -199,7 +215,9 @@ REAL_ROWS = [(f"frequency_{kind}",
         "int_centers", "int_feature_vector", "long_feature_vector",
         "int_schedule_entry", "int_schedule", "classify_4bit",
         "huge_dims", "huge_frame_width",
-        "huge_fraction_frequency"]
+        "huge_fraction_frequency", "text_feature", "float_feature",
+        "bool_feature", "negative_feature", "feature_above_range",
+        "schedule_feature_above_model_bits"]
    + [row[0] for row in INT_ROWS + REAL_ROWS])
 def test_error_message(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import re
 import tracemalloc
 from unittest import mock
@@ -158,6 +159,24 @@ EXAMPLES = {
     "noisy_disc": (rgb_to_cbcr(disc_frame(48, 48, 12, 5, 6.0, 3))
                    .data.reshape(-1, 2),
                    MeanShiftConfig(bandwidth=0.05, seed_stride=2)),
+    # hundreds of distinct values, most of them alone in their cell
+    "uniform": (np.random.default_rng(3).integers(0, 256, (800, 2)),
+                MeanShiftConfig(bandwidth=0.05, seed_stride=3)),
+    # lattices k levels apart at bandwidth k / 255: run ends fall on
+    # levels, and neighbors lie on the radius
+    "lattice_4_levels": ([(100 + 4 * i, 37 + 4 * j) for i in range(5)
+                          for j in range(5)],
+                         MeanShiftConfig(bandwidth=4 / 255, seed_stride=1)),
+    "lattice_7_levels_at_the_edge": ([(7 * i, 7 * j) for i in range(3)
+                                      for j in range(7)],
+                                     MeanShiftConfig(bandwidth=7 / 255,
+                                                     seed_stride=1)),
+    # every row and level within reach of every point
+    "bandwidth_2": (two_blobs(n=40, sigma=20.0),
+                    MeanShiftConfig(bandwidth=2.0, seed_stride=3)),
+    # a bandwidth whose square is near the largest float
+    "bandwidth_1e154": (two_blobs(n=40, sigma=20.0),
+                        MeanShiftConfig(bandwidth=1e154, seed_stride=3)),
 }
 
 
@@ -202,14 +221,47 @@ class TestAgainstLoopReference:
         assert got.modes == want.modes
         assert got.support == want.support
 
+    @settings(max_examples=100, deadline=None)
+    @given(points=st.lists(st.tuples(
+               st.one_of(st.integers(0, 255).map(lambda v: v / 255.0),
+                         st.floats(0, 1)),
+               st.one_of(st.integers(0, 255).map(lambda v: v / 255.0),
+                         st.floats(0, 1))), min_size=1, max_size=8),
+           bandwidth=st.one_of(st.integers(1, 300).map(lambda k: k / 255),
+                               st.floats(1e-9, 3.0), st.just(1e154)))
+    def test_runs_hold_the_cells_within_the_bandwidth(self, points,
+                                                      bandwidth):
+        # each point's runs cover exactly the cells 256*Cb + Cr that the
+        # per-seed loop's distance puts within the bandwidth
+        p = np.array(points)
+        reach = min(256, math.ceil(255 * bandwidth))
+        first, start, stop = trainer._runs(p, bandwidth ** 2, reach,
+                                           min(256, 2 * reach + 3), 0)
+        level = np.arange(256) / 255.0
+        for k, (p0, p1) in enumerate(p):
+            inside = (np.square(level - p0)[:, None]
+                      + np.square(level - p1)[None, :]) <= bandwidth ** 2
+            got = np.zeros(1 << 16, bool)
+            for lo, hi in zip(start[k], stop[k]):
+                got[lo:hi] = True
+            assert np.array_equal(got, inside.reshape(-1))
+
     @pytest.mark.parametrize("rows", [1, 2, 3])
     def test_small_blocks(self, rows, monkeypatch):
-        # `rows` distinct seeds step per block
+        # `rows` distinct seeds step per block: a block holds
+        # 2 * _BLOCK // (10 * span) seeds, span being the Cb rows a point
+        # can reach
         samples, cfg = EXAMPLES["noisy_disc"]
-        distinct = len({tuple(s) for s in samples.tolist()})
-        monkeypatch.setattr(trainer, "_BLOCK", rows * distinct)
+        span = 2 * math.ceil(255 * cfg.bandwidth) + 3
+        monkeypatch.setattr(trainer, "_BLOCK", rows * 5 * span)
+        points = []
+        runs = trainer._runs
+        monkeypatch.setattr(trainer, "_runs",
+                            lambda p, *args: points.append(len(p))
+                            or runs(p, *args))
         assert np.array_equal(converge(samples, cfg),
                               loop_converge(samples, cfg))
+        assert max(points) == rows
 
     @pytest.mark.parametrize("bandwidth", [3 / 255, 0.05, 0.2, 0.4])
     def test_merge_at_the_radius(self, bandwidth):
