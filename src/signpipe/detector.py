@@ -78,12 +78,15 @@ class Detection:
 
 def detect(components, rule: DetectionRule):
     """Filter components against the rule; ids are 1-based list positions."""
+    # lo < w/h < hi in integers: denominators and heights are positive
+    lo, hi = rule.ratio_min, rule.ratio_max
     out = []
     for i, comp in enumerate(components):
         if comp.class_index != rule.target_class:
             continue
-        ratio = Fraction(comp.width, comp.height)
-        if not rule.ratio_min < ratio < rule.ratio_max:
+        w, h = comp.width, comp.height
+        if not (lo.numerator * h < lo.denominator * w
+                and hi.denominator * w < hi.numerator * h):
             continue
         if comp.area <= rule.area_min:
             continue

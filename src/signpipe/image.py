@@ -3,8 +3,10 @@
 PPM has one grammar, the pattern `_TOKEN`: a token is a run of
 non-whitespace bytes after any whitespace and `#` line comments. A P3
 payload is read two ways: `_p3_samples` reads the common case, digits
-and whitespace only, in one whole-array pass, and hands anything else to
-the `_TOKEN` scan, which alone raises. All pixel data lives in numpy
+and whitespace only, in blocks of about `_P3_BLOCK` bytes cut at
+whitespace, so its temporaries fit in cache whatever the frame size and
+it takes 3 B per sample besides, and hands anything else to the `_TOKEN`
+scan, which alone raises. All pixel data lives in numpy
 arrays, and an image is built from its array alone, whose shape is its
 size: RGB images are (height, width, 3) uint8, chroma images are (height,
 width, 2) uint8 holding (Cb, Cr), and gray images are (height, width)
@@ -116,10 +118,13 @@ def _kind(name, v, types, what):
 
 def _finite(name, v, op=">"):
     """`v` if a real number, not a bool, `op` 0 (">" or ">=") and at most
-    the largest float; else ValueError `<name> must be finite and <op> 0`."""
-    if (isinstance(v, numbers.Real) and not isinstance(v, bool)
-            and (v > 0 if op == ">" else v >= 0) and v <= sys.float_info.max):
-        return v
+    the largest float, as a float if a numpy float (a float32 compared with
+    the largest float overflows); else ValueError `<name> must be finite
+    and <op> 0`."""
+    x = float(v) if isinstance(v, np.floating) else v
+    if (isinstance(x, numbers.Real) and not isinstance(x, bool)
+            and (x > 0 if op == ">" else x >= 0) and x <= sys.float_info.max):
+        return x
     raise ValueError(f"{name} must be finite and {op} 0, got {_quote(v)}")
 
 
@@ -133,31 +138,46 @@ _SPACE, _OTHER = 10, 11
 _P3_BYTES = bytes(b - 48 if 48 <= b <= 57 else _SPACE if bytes([b]).isspace()
                   else _OTHER for b in range(256))
 
+# payload bytes per `_p3_samples` block: its temporaries stay in cache
+_P3_BLOCK = 1 << 16
+
 
 def _p3_samples(raw, pos, n):
-    """The P3 payload raw[pos:], 2n - 1 bytes or more, as n uint8 samples
-    read whole-array; None unless it is whitespace and n numbers of 1 to 3
-    digits up to 255, and then the `_TOKEN` scan reads it and alone raises.
-    Temporaries take about 9 B per payload byte at most."""
-    c = np.frombuffer(bytes(raw).translate(_P3_BYTES), np.uint8)[pos:]
-    if c.max() == _OTHER:
-        return None
-    d = c < _SPACE
-    if (d[:-3] & d[1:-2] & d[2:-1] & d[3:]).any():    # 4 digits in a row
-        return None
-    # the number ending at each byte, from the place weights of the digit
-    # there and of the one or two digits before it in the same run
-    x = c * d
-    v = x.astype(np.uint16)
-    v[1:] += x[:-1] * 10
-    x[:-2] *= d[1:-1]           # no hundreds without a tens digit
-    v[2:] += x[:-2] * np.uint16(100)
-    end = d.copy()              # a digit with no digit after it
-    end[:-1] &= ~d[1:]
-    if np.count_nonzero(end) != n:
-        return None
-    samples = np.compress(end, v)
-    return samples.astype(np.uint8) if samples.max() <= 255 else None
+    """The P3 payload raw[pos:] as n uint8 samples, read `_P3_BLOCK` bytes
+    at a time; None unless it is whitespace and n numbers of 1 to 3 digits
+    up to 255, and then the `_TOKEN` scan reads it and alone raises.
+    Temporaries take about 10 B per block byte and 3 B per sample."""
+    out, k = np.empty(n, np.uint16), 0
+    while pos < len(raw):
+        c = bytes(raw[pos:pos + _P3_BLOCK + 4]).translate(_P3_BYTES)
+        # cut at the first whitespace byte at or past the nominal end, so
+        # no number spans two blocks; four bytes past it without one are
+        # four digits in a row or hold an _OTHER byte, unless the data ends
+        last = pos + len(c) == len(raw)
+        cut = len(c) if last else c.find(_SPACE, _P3_BLOCK)
+        if cut < 0:
+            return None
+        c, pos = np.frombuffer(c, np.uint8, cut), pos + cut
+        if c.max() == _OTHER:
+            return None
+        d = c < _SPACE
+        if (d[:-3] & d[1:-2] & d[2:-1] & d[3:]).any():    # 4 digits in a row
+            return None
+        # the number ending at each byte, from the place weights of the
+        # digit there and of the one or two digits before it in the same run
+        x = c * d
+        v = x.astype(np.uint16)
+        v[1:] += x[:-1] * 10
+        x[:-2] *= d[1:-1]           # no hundreds without a tens digit
+        v[2:] += x[:-2] * np.uint16(100)
+        end = d.copy()              # a digit with no digit after it
+        end[:-1] &= ~d[1:]
+        m = np.count_nonzero(end)
+        if k + m > n:
+            return None
+        np.compress(end, v, out=out[k:k + m])
+        k += m
+    return out.astype(np.uint8) if k == n and out.max() <= 255 else None
 
 
 def load_pnm(raw: bytes) -> ImageRGB:

@@ -64,7 +64,7 @@ class MeanShiftConfig:
     seed_stride: int = 4
 
     def __post_init__(self):
-        bw = _finite("bandwidth", self.bandwidth)
+        self.bandwidth = bw = _finite("bandwidth", self.bandwidth)
         if bw * bw > sys.float_info.max:  # converge squares it; ints exactly
             raise ValueError(f"bandwidth must be finite and > 0, got {bw}; "
                              f"its square must be finite too")

@@ -71,6 +71,30 @@ class TestDetect:
         assert set(d.component_id for d in narrow) <= set(
             d.component_id for d in wide)
 
+    @given(st.data())
+    @settings(max_examples=200)
+    def test_integer_ratio_test_is_the_fraction_filter(self, data):
+        # bounds from decimals with exponents up to MAX_EXPONENT or from a
+        # component's own ratio, so some ratios sit exactly on a bound
+        sides = st.tuples(st.integers(1, 2000), st.integers(1, 2000))
+        shapes = data.draw(st.lists(sides, min_size=1, max_size=12))
+        decimal = st.builds(lambda m, e: Fraction(m) * Fraction(10) ** e,
+                            st.integers(1, 10 ** 9), st.integers(-400, 400))
+        bound = decimal | st.sampled_from(shapes).map(
+            lambda s: Fraction(*s))
+        lo, hi = sorted(data.draw(st.lists(bound, min_size=2, max_size=2,
+                                           unique=True)))
+        rule = DetectionRule(ratio_min=lo, ratio_max=hi, area_min=1)
+        comps = [component(class_index=data.draw(st.integers(0, 2)), w=w,
+                           h=h, area=data.draw(st.integers(1, 4)))
+                 for w, h in shapes]
+        expected = [Detection(i + 1, c.bbox, c.area, c.centroid)
+                    for i, c in enumerate(comps)
+                    if c.class_index == rule.target_class
+                    and lo < Fraction(c.width, c.height) < hi
+                    and c.area > rule.area_min]
+        assert detect(comps, rule) == expected
+
     def test_int_too_long_for_str_is_refused_as_a_decimal(self):
         with pytest.raises(ValueError, match="^ratio_max must be a finite "
                            "decimal, got '<int of 16610 bits>'"):

@@ -205,10 +205,22 @@ def scan(raw):
 
 
 def fast(raw):
-    """The whole-array reader's samples for the payload after raw's header."""
+    """The block reader's samples for the payload after raw's header."""
     _, width, height, maxval = itertools.islice(_TOKEN.finditer(raw), 4)
     n = int(width[1]) * int(height[1]) * 3
     return image._p3_samples(raw, maxval.end(), n)
+
+
+def agrees_with_the_scan(raw):
+    """The block reader hands over what the scan refuses, and reads
+    what it does not hand over as the scan does."""
+    samples = fast(raw)
+    try:
+        expected = scan(raw)
+    except PnmError:
+        assert samples is None
+    else:
+        assert samples is None or np.array_equal(samples, expected)
 
 
 @st.composite
@@ -240,13 +252,41 @@ class TestP3Reader:
     @settings(max_examples=150,
               phases=[p for p in Phase if p is not Phase.explain])
     def test_fast_reader_agrees_with_the_scan(self, raw):
-        samples = fast(raw)
-        try:
-            expected = scan(raw)
-        except PnmError:
-            assert samples is None
-        else:
-            assert samples is None or np.array_equal(samples, expected)
+        agrees_with_the_scan(raw)
+
+    # 1 is the smallest block: a cut is at least one byte past the start
+    @pytest.mark.parametrize("block", [1, 2, 3, 4, 7])
+    @given(raw=p3_payloads() | p3_encodings())
+    @settings(max_examples=60,
+              phases=[p for p in Phase if p is not Phase.explain])
+    def test_small_blocks_agree_with_the_scan(self, block, raw):
+        with mock.patch.object(image, "_P3_BLOCK", block):
+            agrees_with_the_scan(raw)
+
+    @pytest.mark.parametrize("block,raw,read,samples", [
+        # the data ends inside the 4 bytes past the cut: kept whole
+        (5, b"P3 1 1 255 1 2 255", True, [1, 2, 255]),
+        (6, b"P3 1 1 255 1 2 255", True, [1, 2, 255]),
+        (4, b"P3 1 1 255 1 2 25\n", True, [1, 2, 25]),
+        # four digits across the cut, found in a block or by the cut
+        (4, b"P3 1 1 255 1 0255 2 ", False, [1, 255, 2]),
+        (3, b"P3 1 1 255 1 0255 2 ", False, [1, 255, 2]),
+        # a comment or junk just past the cut
+        (4, b"P3 1 1 255 1 2 #c\n3 ", False, [1, 2, 3]),
+        (5, b"P3 1 1 255 1 2 #c\n3 ", False, [1, 2, 3]),
+        (5, b"P3 1 1 255 1 2 #abc\n3 ", False, [1, 2, 3]),
+        (7, b"P3 1 1 255 1 2 3 junk", False, [1, 2, 3]),
+        (5, b"P3 1 1 255 1 2 3 junk", False, [1, 2, 3]),
+    ], ids=["last_token_past_cut", "last_token_across_cut",
+            "last_space_past_cut", "four_digits_in_block",
+            "four_digits_at_cut", "comment_next_block", "comment_in_block",
+            "comment_at_cut", "junk_to_the_end", "junk_next_block"])
+    def test_cuts_between_blocks(self, block, raw, read, samples):
+        with mock.patch.object(image, "_P3_BLOCK", block):
+            assert (fast(raw) is not None) is read
+            if read:
+                assert fast(raw).tolist() == samples
+            assert load_pnm(raw).data.reshape(-1).tolist() == samples
 
     def test_reads_a_payload_of_digits_and_whitespace(self):
         raw = b"P3 2 1 255\r\n0 10 255\t9\x0b099\x0c100 \n"
@@ -307,7 +347,7 @@ class TestP3Reader:
         finally:
             tracemalloc.stop()
         assert out == img
-        assert peak <= 10 * (len(raw) - len(header))
+        assert peak <= 2 * (len(raw) - len(header))
 
 
 class TestSavePnm:

@@ -104,9 +104,25 @@ class TestMeanShift:
                  for _, v, message in int_refusals("seed_stride", 1)]
         rows += [({"bandwidth": v}, message)
                  for _, v, message in real_refusals("bandwidth")]
+        # numpy floats are read as Python floats, so nothing overflows
+        rows += [({"bandwidth": np.float32("nan")},
+                  "bandwidth must be finite and > 0, got np.float32(nan)"),
+                 ({"bandwidth": np.float64(1e200)},
+                  "bandwidth must be finite and > 0, got 1e+200; its "
+                  "square must be finite too")]
         for kwargs, message in rows:
             with pytest.raises(ValueError, match=re.escape(message)):
                 MeanShiftConfig(**kwargs)
+
+    @pytest.mark.parametrize("bandwidth", [np.float32(0.05),
+                                           np.float32(3e19)])
+    def test_numpy_float_bandwidth_is_kept_as_a_float(self, bandwidth):
+        # compared in float32 with the largest float, 0.05 overflowed in a
+        # cast, and 3e19 passed the square rule as an inf square
+        cfg = MeanShiftConfig(bandwidth=bandwidth)
+        assert type(cfg.bandwidth) is float
+        assert cfg.bandwidth == float(bandwidth)
+        assert math.isfinite(cfg.bandwidth ** 2)
 
     @pytest.mark.parametrize("samples", [
         [(300, 5)], [(-7, 3)], [(float("nan"), 3)], [(1.5, 2)],
