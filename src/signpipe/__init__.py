@@ -1,7 +1,7 @@
 """Software model of a streaming road-sign detection pipeline."""
 
 from .ccl import ComponentFeatures, label_components
-from .detector import Detection, DetectionRule, annotate, detect
+from .detector import DetectionRule, annotate, detect
 from .filters import gaussian3x3, median3x3, stream_window
 from .image import (ImageCbCr, ImageGray, ImageRGB, PnmError, cbcr_to_rgb,
                     load_pnm, rgb_to_cbcr, save_pnm)

@@ -8,7 +8,9 @@ over runs (hook every root to its smallest linked root, then jump
 pointers until each run points at its root), so a component's root is
 its first run in raster order. Area, bounding box and centroid sums are
 accumulated per run: a run of length n at row y covering x0..x1 adds n
-to the area, y*n to sum_y and (x0+x1)*n/2 to sum_x.
+to the area, y*n to sum_y and (x0+x1)*n/2 to sum_x. Each component
+record carries its `id`, its value in the label image: 1..N in raster
+order of its first pixel. A detection is one of these records.
 """
 
 from dataclasses import dataclass
@@ -20,6 +22,7 @@ from .image import ImageGray
 
 @dataclass
 class ComponentFeatures:
+    id: int  # the component's value in the label image
     class_index: int
     area: int
     min_x: int
@@ -120,7 +123,7 @@ def label_components(seg: ImageGray, skip=frozenset()):
     np.maximum.at(max_x, k, x1)
     np.maximum.at(max_y, k, y)
     feats = [ComponentFeatures(*f) for f in zip(
-        flat[starts[firsts]].tolist(), area.tolist(), min_x.tolist(),
-        run_y[firsts].tolist(), max_x.tolist(), max_y.tolist(),
-        sum_x.tolist(), sum_y.tolist())]
+        range(1, firsts.size + 1), flat[starts[firsts]].tolist(),
+        area.tolist(), min_x.tolist(), run_y[firsts].tolist(),
+        max_x.tolist(), max_y.tolist(), sum_x.tolist(), sum_y.tolist())]
     return labels, feats

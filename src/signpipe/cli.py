@@ -102,7 +102,7 @@ def cmd_detect(args):
     print(f"components: {len(report.components)}")
     print(f"detections: {len(report.detections)}")
     for d in report.detections:
-        print(f"  component {d.component_id}: bbox={d.bbox} area={d.area} "
+        print(f"  component {d.id}: bbox={d.bbox} area={d.area} "
               f"centroid=({d.centroid[0]:.1f}, {d.centroid[1]:.1f})")
     return 0
 

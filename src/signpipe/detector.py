@@ -60,28 +60,12 @@ class DetectionRule:
         _int_in("area_min", self.area_min, 1)
 
 
-@dataclass(frozen=True)
-class Detection:
-    component_id: int
-    bbox: tuple  # (min_x, min_y, max_x, max_y)
-    area: int
-    centroid: tuple
-
-    @property
-    def width(self):
-        return self.bbox[2] - self.bbox[0] + 1
-
-    @property
-    def height(self):
-        return self.bbox[3] - self.bbox[1] + 1
-
-
 def detect(components, rule: DetectionRule):
-    """Filter components against the rule; ids are 1-based list positions."""
+    """The components that pass the rule, in order."""
     # lo < w/h < hi in integers: denominators and heights are positive
     lo, hi = rule.ratio_min, rule.ratio_max
     out = []
-    for i, comp in enumerate(components):
+    for comp in components:
         if comp.class_index != rule.target_class:
             continue
         w, h = comp.width, comp.height
@@ -90,7 +74,7 @@ def detect(components, rule: DetectionRule):
             continue
         if comp.area <= rule.area_min:
             continue
-        out.append(Detection(i + 1, comp.bbox, comp.area, comp.centroid))
+        out.append(comp)
     return out
 
 

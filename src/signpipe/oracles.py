@@ -50,7 +50,7 @@ def flood_fill_label(seg: ImageGray, skip=frozenset()):
             if labels[sy, sx] != 0 or src[sy, sx] in skip:
                 continue
             c = int(src[sy, sx])
-            acc = ComponentFeatures(c, 0, sx, sy, sx, sy, 0, 0)
+            acc = ComponentFeatures(next_id, c, 0, sx, sy, sx, sy, 0, 0)
             stack = [(sx, sy)]
             labels[sy, sx] = next_id
             while stack:

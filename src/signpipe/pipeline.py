@@ -44,6 +44,8 @@ class PipelineConfig:
     def __post_init__(self):
         _chroma_centers(self.centers)
         _kind("rule", self.rule, DetectionRule, "a DetectionRule")
+        _kind("gaussian", self.gaussian, (bool, np.bool_), "a bool")
+        _kind("median", self.median, (bool, np.bool_), "a bool")
         _finite("clock_mhz", self.clock_mhz)
         try:
             self.skip_classes = frozenset(self.skip_classes)
@@ -62,7 +64,7 @@ class FrameReport:
     height: int
     class_pixels: list   # pixel count per class index, post-filter
     components: list     # ComponentFeatures
-    detections: list
+    detections: list     # the components that pass the rule
     latency_cycles: int
     est_fps: float
 
@@ -74,13 +76,12 @@ class FrameReport:
             "classes": [{"index": i, "pixels": int(n)}
                         for i, n in enumerate(self.class_pixels)],
             "components": [
-                {"id": i + 1, "class": c.class_index, "area": c.area,
-                 "bbox": list(c.bbox),
-                 "centroid": [c.centroid[0], c.centroid[1]]}
-                for i, c in enumerate(self.components)],
+                {"id": c.id, "class": c.class_index, "area": c.area,
+                 "bbox": list(c.bbox), "centroid": list(c.centroid)}
+                for c in self.components],
             "detections": [
-                {"component_id": d.component_id, "bbox": list(d.bbox),
-                 "area": d.area, "centroid": [d.centroid[0], d.centroid[1]]}
+                {"component_id": d.id, "bbox": list(d.bbox),
+                 "area": d.area, "centroid": list(d.centroid)}
                 for d in self.detections],
             "latency_cycles": self.latency_cycles,
             "est_fps": self.est_fps,

@@ -146,7 +146,7 @@ def test_criterion_9_rule_thresholds():
 
     def comp(cls, w, h, area):
         from signpipe.ccl import ComponentFeatures
-        return ComponentFeatures(cls, area, 0, 0, w - 1, h - 1, 0, 0)
+        return ComponentFeatures(1, cls, area, 0, 0, w - 1, h - 1, 0, 0)
 
     assert len(detect([comp(1, 20, 20, 250)], rule)) == 1   # accept
     assert detect([comp(1, 10, 20, 250)], rule) == []       # ratio 0.5

@@ -142,8 +142,11 @@ class TestFloodFillEquivalence:
     def test_components_are_single_class(self, case):
         img, skip = case
         labels, feats = label_components(img, skip)
-        for i, c in enumerate(feats):
-            classes = set(img.data[labels.data == i + 1].tolist())
+        # a record's id is its value in the label image, 1..N in order
+        assert [c.id for c in feats] == list(range(1, len(feats) + 1))
+        for c in feats:
+            assert np.count_nonzero(labels.data == c.id) == c.area
+            classes = set(img.data[labels.data == c.id].tolist())
             assert classes == {c.class_index}
             assert c.class_index not in skip
 

@@ -7,14 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from signpipe.ccl import ComponentFeatures
-from signpipe.detector import Detection, DetectionRule, annotate, detect
+from signpipe.detector import DetectionRule, annotate, detect
 from signpipe.image import ImageRGB
 
 from refusals import int_refusals
 
 
-def component(class_index=1, w=20, h=20, area=250, x0=0, y0=0):
-    return ComponentFeatures(class_index, area, x0, y0, x0 + w - 1,
+def component(class_index=1, w=20, h=20, area=250, x0=0, y0=0, id=1):
+    return ComponentFeatures(id, class_index, area, x0, y0, x0 + w - 1,
                              y0 + h - 1, area * x0, area * y0)
 
 
@@ -46,9 +46,12 @@ class TestDetect:
         assert detect([component(w=70, h=100, area=5000)], rule) == []
 
     def test_output_subset_in_order(self):
-        comps = [component(), component(class_index=0), component(x0=40)]
+        comps = [component(id=1), component(class_index=0, id=2),
+                 component(x0=40, id=3)]
         out = detect(comps, DetectionRule())
-        assert [d.component_id for d in out] == [1, 3]
+        # the passing records themselves, not copies
+        assert out == [comps[0], comps[2]]
+        assert out[0] is comps[0] and out[1] is comps[2]
 
     @given(st.integers(1, 40), st.integers(1, 40), st.integers(1, 1600),
            st.integers(100, 400))
@@ -57,8 +60,7 @@ class TestDetect:
         comps = [component(w=w, h=h, area=min(area, w * h))]
         loose = detect(comps, DetectionRule(area_min=area_min))
         tight = detect(comps, DetectionRule(area_min=area_min + 50))
-        assert set(d.component_id for d in tight) <= set(
-            d.component_id for d in loose)
+        assert set(d.id for d in tight) <= set(d.id for d in loose)
 
     @given(st.integers(1, 40), st.integers(1, 40))
     @settings(max_examples=100)
@@ -68,8 +70,7 @@ class TestDetect:
                                              area_min=1))
         wide = detect(comps, DetectionRule(ratio_min=0.5, ratio_max=4,
                                            area_min=1))
-        assert set(d.component_id for d in narrow) <= set(
-            d.component_id for d in wide)
+        assert set(d.id for d in narrow) <= set(d.id for d in wide)
 
     @given(st.data())
     @settings(max_examples=200)
@@ -88,8 +89,7 @@ class TestDetect:
         comps = [component(class_index=data.draw(st.integers(0, 2)), w=w,
                            h=h, area=data.draw(st.integers(1, 4)))
                  for w, h in shapes]
-        expected = [Detection(i + 1, c.bbox, c.area, c.centroid)
-                    for i, c in enumerate(comps)
+        expected = [c for c in comps
                     if c.class_index == rule.target_class
                     and lo < Fraction(c.width, c.height) < hi
                     and c.area > rule.area_min]
@@ -126,7 +126,7 @@ class TestAnnotate:
 
     def test_full_image_border_ring(self):
         img = self.blank(10, 8)
-        det = Detection(1, (0, 0, 9, 7), 80, (4.5, 3.5))
+        det = component(w=10, h=8)
         out = annotate(img, [det])
         changed = np.any(out.data != img.data, axis=2)
         assert changed.sum() == 2 * 10 + 2 * 8 - 4
@@ -135,8 +135,8 @@ class TestAnnotate:
 
     def test_two_disjoint_rectangles(self):
         img = self.blank()
-        dets = [Detection(1, (1, 1, 8, 6), 48, (4.5, 3.5)),
-                Detection(2, (12, 10, 21, 24), 150, (16.5, 17.0))]
+        dets = [component(x0=1, y0=1, w=8, h=6),
+                component(x0=12, y0=10, w=10, h=15)]
         out = annotate(img, dets)
         changed = int(np.any(out.data != img.data, axis=2).sum())
         expected = sum(2 * (x1 - x0 + 1) + 2 * (y1 - y0 + 1) - 4
@@ -146,10 +146,10 @@ class TestAnnotate:
     def test_out_of_bounds_rejected(self):
         img = self.blank(5, 5)
         with pytest.raises(ValueError):
-            annotate(img, [Detection(1, (0, 0, 5, 4), 1, (0, 0))])
+            annotate(img, [component(w=6, h=5)])
 
     def test_input_not_mutated(self):
         img = self.blank()
         before = img.data.copy()
-        annotate(img, [Detection(1, (2, 2, 6, 6), 25, (4, 4))])
+        annotate(img, [component(x0=2, y0=2, w=5, h=5)])
         assert np.array_equal(img.data, before)

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from signpipe.ccl import label_components
@@ -78,6 +78,9 @@ def test_run_pipeline_matches_the_chain_written_out(seed, gaussian, median):
     assert artifacts.seg == seg and artifacts.components_img == labels
     assert report.components == components
     assert report.detections == detect(components, config.rule)
+    # a detection is its component's own record, numbered as in the labels
+    assert report.detections
+    assert all(d is report.components[d.id - 1] for d in report.detections)
 
 
 def sign_frame(cx, cy, radius, ring, width=48, height=40):
@@ -138,10 +141,15 @@ SETTING_ROWS = ([(f"skip_{kind}", {"skip_classes": {v}}, message)
     ({"skip_classes": [[0]]}, "skip_classes must be a set of ints, got [[0]]"),
     ({"centers": 5}, "centers must be a ClassCenterFile, not int"),
     ({"rule": 5}, "rule must be a DetectionRule, not int"),
+    # "no" ran the Gaussian and 0 turned the median off
+    ({"gaussian": "no"}, "gaussian must be a bool, not str"),
+    ({"median": 0}, "median must be a bool, not int"),
+    ({"gaussian": None}, "gaussian must be a bool, not NoneType"),
 ] + [row[1:] for row in SETTING_ROWS],
    ids=["skip_past_end", "negative_skip", "target_past_end",
         "three_dim_centers", "fractional_skip", "bool_skip", "int_skip_set",
-        "unhashable_skip", "int_centers", "int_rule"]
+        "unhashable_skip", "int_centers", "int_rule", "str_gaussian",
+        "int_median", "none_gaussian"]
    + [row[0] for row in SETTING_ROWS])
 def test_config_refuses_class_indices_outside_the_center_file(kwargs, message):
     # the shipped center file has 4 classes
@@ -165,6 +173,8 @@ def verify_cases(draw):
 
 
 @given(verify_cases())
+# Cb of (0, 0, 1) is exactly 128.5: the conversions' rounding tie
+@example((PipelineConfig(), ImageRGB(np.array([[[0, 0, 1]]], np.uint8))))
 @settings(max_examples=60, deadline=None)
 def test_verify_frame_agrees_on_random_small_frames(case):
     config, rgb = case

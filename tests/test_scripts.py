@@ -1,6 +1,8 @@
 """Smoke runs of the experiment scripts, each in its own interpreter with
-small arguments: they exit 0 and print their closing line."""
+small arguments: they exit 0 and print their closing line. The mutant
+catalogue is only checked against the code, since its run takes minutes."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -38,3 +40,20 @@ def test_detection_demo(tmp_path):
     for name in ("input.ppm", "segmented.ppm", "components.ppm",
                  "annotated.ppm", "report.json"):
         assert (tmp_path / name).is_file()
+
+
+def test_mutant_catalogue_matches_the_code():
+    # each old text occurs exactly once, so a change that rewrites mutated
+    # code must update the catalogue, and each named test exists
+    spec = importlib.util.spec_from_file_location(
+        "mutants", ROOT / "scripts" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    names = [m.name for m in mutants.MUTANTS]
+    assert len(set(names)) == len(names)
+    for m in mutants.MUTANTS:
+        assert (ROOT / m.file).read_text().count(m.old) == 1, m.name
+        assert m.new != m.old and m.tests, m.name
+        for test in m.tests:
+            path, *_, name = test.split("::")
+            assert f"def {name}(" in (ROOT / path).read_text(), test

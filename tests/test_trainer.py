@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from signpipe import trainer
@@ -245,6 +245,8 @@ class TestAgainstLoopReference:
                          st.floats(0, 1))), min_size=1, max_size=8),
            bandwidth=st.one_of(st.integers(1, 300).map(lambda k: k / 255),
                                st.floats(1e-9, 3.0), st.just(1e154)))
+    # a cell exactly at the bandwidth that the circle rounds out of the run
+    @example(points=[(0.0, 33 / 255)], bandwidth=20 / 255)
     def test_runs_hold_the_cells_within_the_bandwidth(self, points,
                                                       bandwidth):
         # each point's runs cover exactly the cells 256*Cb + Cr that the
