@@ -127,6 +127,21 @@ MUTANTS = [
     Mutant("cycle model emits a cycle late", "src/signpipe/mdc.py",
            "outputs.append((cycle, label))", "outputs.append((cycle + 1, label))",
            (T_MDC + "TestSimulatePipeline::test_delay_equals_formula",)),
+    # `center[d] - x[d]` would be equivalent: the absolute stage follows
+    Mutant("cycle model subtracts the first component", "src/signpipe/mdc.py",
+           "[x[d] - center[d] for center in centers]",
+           "[x[d] - center[0] for center in centers]",
+           (T_MDC + "TestSimulatePipeline::test_all_shapes_agree_with_classify",)),
+    Mutant("cycle model accumulates no sum", "src/signpipe/mdc.py",
+           "[(s + e, j) for (s, j), e in", "[(e, j) for (s, j), e in",
+           (T_MDC + "TestSimulatePipeline::test_all_shapes_agree_with_classify",)),
+    Mutant("cycle model selects the larger", "src/signpipe/mdc.py",
+           "min(candidates[i:i + 2])", "max(candidates[i:i + 2])",
+           (T_MDC + "TestSimulatePipeline::test_all_shapes_agree_with_classify",)),
+    Mutant("selection levels ceil(log2 (C + 1))", "src/signpipe/mdc.py",
+           "(self.num_classes - 1).bit_length()",
+           "self.num_classes.bit_length()",
+           (T_MDC + "TestPipelineModel::test_latency_formula",)),
     # the refusal helpers
     Mutant("integer rule lo <= v -> lo < v", "src/signpipe/image.py",
            "type(v) is int and lo <= v", "type(v) is int and lo < v",
@@ -140,6 +155,15 @@ MUTANTS = [
            "self.median, (bool, np.bool_)", "self.median, (bool, np.bool_, int)",
            (T_PIPELINE
             + "test_config_refuses_class_indices_outside_the_center_file",)),
+    Mutant("center file skips the shape rules", "src/signpipe/mdc.py",
+           "        super().__post_init__()\n", "",
+           (T_MDC + "test_error_message",)),
+    Mutant("clock admitted past the float range in Hz",
+           "src/signpipe/pipeline.py",
+           "if mhz * 1e6 > sys.float_info.max:", "if False:",
+           (T_PIPELINE
+            + "test_config_refuses_class_indices_outside_the_center_file",
+            "tests/test_cli.py::test_bad_input_exits_with_one_line")),
     # equivalent: no output changes, so no test can catch them
     Mutant("labeler one pointer jump per round", "src/signpipe/ccl.py",
            "            jumped = root[root]\n"

@@ -1,18 +1,19 @@
 """Minimum Distance Classifier with a programmable center register file.
 
-The register file holds D*C unsigned center components in class-major
-order (cell j*D + d is dimension d of class j). Classification is
-nearest-centroid under the Manhattan metric, so only subtractions,
-absolute values, and additions are needed. A cycle-stepped model of the
-pipelined structure reproduces the latency 3*D + ceil(log2 C) and
-1-label-per-cycle throughput: each dimension takes three register stages
-(subtract the center components, take absolute values, accumulate) and
-feeds a pairwise min-selection tree of ceil(log2 C) levels.
+`PipelineModel` is the classifier's shape (D, C, bits) and its figures.
+A `ClassCenterFile` is the model it programs: the same shape plus the
+register file, D*C unsigned center components in class-major order (cell
+j*D + d is dimension d of class j). Classification is nearest-centroid
+under the Manhattan metric, so only subtractions, absolute values, and
+additions are needed. A cycle-stepped model of the pipelined structure
+reproduces the latency 3*D + ceil(log2 C) and 1-label-per-cycle
+throughput: each dimension takes three register stages (subtract the
+center components, take absolute values, accumulate) and feeds a
+pairwise min-selection tree of ceil(log2 C) levels.
 """
 
 import functools
 import json
-import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -26,18 +27,42 @@ DEFAULT_NAMES = ("background", "yellow", "red_low", "red_high")
 
 
 @dataclass
-class ClassCenterFile:
-    """Flat register file of class-center components: cells[j * dims + d]
-    holds dimension d of class j. `PipelineModel` checks the shape; cells
-    is a list of ints that fit in resolution_bits, names a list of strs."""
+class PipelineModel:
+    """Classifier shape (D, C, bits), checked here only: the hardware a
+    `ClassCenterFile` programs, and its latency and widths."""
     dims: int
     num_classes: int
     resolution_bits: int = 8
+
+    def __post_init__(self):
+        _int_in("num_classes", self.num_classes, 2)
+        _int_in("dims", self.dims, 1)
+        _int_in("resolution_bits", self.resolution_bits, 1, 32)
+
+    @property
+    def selection_levels(self):
+        return (self.num_classes - 1).bit_length()  # ceil(log2 C), exact
+
+    @property
+    def latency(self):
+        return 3 * self.dims + self.selection_levels
+
+    @property
+    def accumulator_bits(self):
+        # two guard bits as a floor, widened for high-dimensional sums
+        return self.resolution_bits + max(2, (self.dims - 1).bit_length())
+
+
+@dataclass
+class ClassCenterFile(PipelineModel):
+    """The `PipelineModel` a flat register file of class-center components
+    programs: cells[j * dims + d] holds dimension d of class j. Cells is a
+    list of ints that fit in resolution_bits, names a list of strs."""
     cells: list = None
     names: list = None
 
     def __post_init__(self):
-        PipelineModel(self.dims, self.num_classes, self.resolution_bits)
+        super().__post_init__()
         n = self.dims * self.num_classes
         self.cells = [0] * n if self.cells is None else self.cells
         for attr, v in [("cells", self.cells), ("names", self.names)]:
@@ -85,7 +110,7 @@ def program_center(file: ClassCenterFile, addr, value):
 def classify(file: ClassCenterFile, x):
     """Index of the center nearest to x in Manhattan distance; ties break
     to the smallest class index. The scalar reference for any D."""
-    x = _vector("feature vector", x, file.dims, file.resolution_bits)
+    x = _vector("feature vector", x, file)
     dists = [sum(abs(a - b) for a, b in zip(x, center))
              for center in file.centers()]
     return dists.index(min(dists))
@@ -131,44 +156,19 @@ def _chroma_centers(file):
         raise ValueError(f"pipeline needs 8-bit centers, got {bits}-bit")
 
 
-def _vector(what, x, dims, bits):
-    """x as a tuple of `dims` ints that fit in `bits`, else a ValueError
-    naming `what`."""
-    if not isinstance(x, Iterable) or len(x := tuple(x)) != dims:
-        raise ValueError(f"{what} must be a sequence of length {dims}, "
+def _vector(what, x, model):
+    """x as a tuple of `model.dims` ints that fit in its resolution_bits,
+    else a ValueError naming `what`."""
+    if not isinstance(x, Iterable) or len(x := tuple(x)) != model.dims:
+        raise ValueError(f"{what} must be a sequence of length {model.dims}, "
                          f"got {_quote(x)}")
     for i, v in enumerate(x):
-        _int_in(f"{what} component {i}", v, 0, (1 << bits) - 1)
+        _int_in(f"{what} component {i}", v, 0,
+                (1 << model.resolution_bits) - 1)
     return x
 
 
 # --- cycle-stepped pipeline model ---------------------------------------
-
-@dataclass
-class PipelineModel:
-    """Classifier shape (D, C, bits), checked here only."""
-    dims: int
-    num_classes: int
-    resolution_bits: int = 8
-
-    def __post_init__(self):
-        _int_in("num_classes", self.num_classes, 2)
-        _int_in("dims", self.dims, 1)
-        _int_in("resolution_bits", self.resolution_bits, 1, 32)
-
-    @property
-    def selection_levels(self):
-        return math.ceil(math.log2(self.num_classes))
-
-    @property
-    def latency(self):
-        return 3 * self.dims + self.selection_levels
-
-    @property
-    def accumulator_bits(self):
-        # two guard bits as a floor, widened for high-dimensional sums
-        return self.resolution_bits + max(2, math.ceil(math.log2(self.dims)))
-
 
 def _subtract(centers, d, x, candidates):
     """Register 3d: subtract center component d for every class."""
@@ -198,6 +198,7 @@ def simulate_pipeline(model: PipelineModel, file: ClassCenterFile, schedule):
     emits the last register's label, then moves every value one register
     on through its stage, so the vector accepted at cycle t is labelled
     at cycle t + 3*dims + ceil(log2 C). Returns a list of (cycle, label).
+    A center file is a model, so it may be passed as its own `model`.
     """
     if (model.dims, model.num_classes) != (file.dims, file.num_classes):
         raise ValueError("model and register file disagree on dims/classes")
@@ -205,8 +206,7 @@ def simulate_pipeline(model: PipelineModel, file: ClassCenterFile, schedule):
     stages = [stage for d in range(model.dims) for stage in (
         functools.partial(_subtract, file.centers(), d), _absolute,
         _accumulate)] + [_select] * model.selection_levels
-    schedule = [_vector(f"schedule entry at cycle {cycle}", x, model.dims,
-                        model.resolution_bits)
+    schedule = [_vector(f"schedule entry at cycle {cycle}", x, model)
                 for cycle, x in enumerate(schedule)]
     start = [(0, j) for j in range(model.num_classes)]
     regs = [None] * len(stages)

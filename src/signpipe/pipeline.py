@@ -9,6 +9,7 @@ the latency and frame-rate figures of the cycle model so a software
 run documents what the streaming design would deliver.
 """
 
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -20,8 +21,7 @@ from .filters import gaussian3x3, median3x3
 from .image import (ImageGray, ImageRGB, _finite, _int_in, _kind, _quote,
                     rgb_to_cbcr)
 from .mdc import (DEFAULT_CENTERS, DEFAULT_NAMES, ClassCenterFile,
-                  PipelineModel, _chroma_centers, classify_image,
-                  estimate_frame_rate)
+                  _chroma_centers, classify_image, estimate_frame_rate)
 
 DEFAULT_CLOCK_MHZ = 170.0
 
@@ -46,7 +46,10 @@ class PipelineConfig:
         _kind("rule", self.rule, DetectionRule, "a DetectionRule")
         _kind("gaussian", self.gaussian, (bool, np.bool_), "a bool")
         _kind("median", self.median, (bool, np.bool_), "a bool")
-        _finite("clock_mhz", self.clock_mhz)
+        self.clock_mhz = mhz = _finite("clock_mhz", self.clock_mhz)
+        if mhz * 1e6 > sys.float_info.max:  # run_pipeline works in Hz
+            raise ValueError(f"clock_mhz must be finite and > 0, got "
+                             f"{_quote(mhz)}; in Hz it must be finite too")
         try:
             self.skip_classes = frozenset(self.skip_classes)
         except TypeError:   # not iterable, or a member not hashable
@@ -127,11 +130,9 @@ def run_pipeline(config: PipelineConfig, rgb: ImageRGB, image_name=""):
 
     counts = [int(np.count_nonzero(seg.data == c))
               for c in range(config.centers.num_classes)]
-    model = PipelineModel(config.centers.dims, config.centers.num_classes,
-                          config.centers.resolution_bits)
     fps = estimate_frame_rate(config.clock_mhz * 1e6, rgb.width, rgb.height)
     report = FrameReport(image_name, rgb.width, rgb.height, counts,
-                         components, detections, model.latency, fps)
+                         components, detections, config.centers.latency, fps)
     return report, FrameArtifacts(seg, components_img, annotated)
 
 

@@ -129,6 +129,11 @@ def test_latency_subcommand(capsys):
     out = capsys.readouterr().out
     assert "latency: 8 cycles" in out
     assert "269.84" in out
+    # ceil(log2 C) in integers: a float log2 gave 52 here
+    assert main(["latency", "--dims", "1", "--classes",
+                 "562949953421313"]) == 0
+    assert ("latency: 53 cycles (3*1 + ceil(log2 562949953421313))"
+            in capsys.readouterr().out)
 
 
 def test_verify_subcommand(tmp_path, capsys):
@@ -310,6 +315,11 @@ REPORT_FLAG_REFUSALS = [
     (["detect", "{frame}", "--clock-mhz", "inf",
       "--out-report", "{tmp}/r.json"],
      "clock_mhz must be finite and > 0, got inf"),
+    # refused before the chain runs, by the flag's own name
+    (["detect", "{frame}", "--clock-mhz", "1e303",
+      "--out-report", "{tmp}/r.json"],
+     "clock_mhz must be finite and > 0, got 1e+303; in Hz it must be "
+     "finite too"),
     (["ablate", "{frame}", "--clock-mhz", "inf"],
      "unrecognized arguments: --clock-mhz"),
     (["detect", "{frame}", "--clock-mhz", "200", "--out-seg", "{tmp}/s.ppm"],
@@ -391,7 +401,8 @@ REPORT_FLAG_REFUSALS = [
         "ratio_min_above_max", "skip_class_range",
         "target_class_range", "both_class_flags", "negative_target",
         "center_without_name", "missing_center_file", "zero_clock",
-        "infinite_clock", "infinite_clock_ablate", "clock_without_report",
+        "infinite_clock", "clock_past_float_in_hz", "infinite_clock_ablate",
+        "clock_without_report",
         "color_labels_without_seg", "four_bit_centers", "unwritable_output",
         "zero_bandwidth", "nan_bandwidth", "infinite_bandwidth",
         "huge_bandwidth",

@@ -237,10 +237,9 @@ class TestManhattanDistance:
     def test_maximum_fits_in_guard_bits(self):
         # (0, 0) is 510 from (255, 255) and 509 from (255, 254)
         f = ClassCenterFile.from_centers([(255, 255), (255, 254)])
-        model = PipelineModel(f.dims, f.num_classes)
-        assert 510 < 2 ** model.accumulator_bits == 2 ** 10
+        assert 510 < 2 ** f.accumulator_bits == 2 ** 10
         assert classify(f, (0, 0)) == 1
-        assert simulate_pipeline(model, f, [(0, 0)])[0][1] == 1
+        assert simulate_pipeline(f, f, [(0, 0)])[0][1] == 1
 
 
 class TestClassify:
@@ -267,8 +266,7 @@ class TestClassify:
         # at a time and reduces them with a pairwise tree
         x = data.draw(st.lists(st.integers(0, 255), min_size=f.dims,
                                max_size=f.dims))
-        model = PipelineModel(f.dims, f.num_classes)
-        [(_, label)] = simulate_pipeline(model, f, [x])
+        [(_, label)] = simulate_pipeline(f, f, [x])
         assert classify(f, x) == label
 
     @given(center_files(), st.data())
@@ -304,12 +302,11 @@ class TestClassify:
     def test_accumulator_overflow_safety(self, f, data):
         x = data.draw(st.lists(st.integers(0, 255), min_size=f.dims,
                                max_size=f.dims))
-        model = PipelineModel(f.dims, f.num_classes)
         # the largest distance, 255 per dimension (510 < 2**10 at D=2)
-        assert 255 * f.dims < 2 ** model.accumulator_bits
+        assert 255 * f.dims < 2 ** f.accumulator_bits
         for center in f.centers():
             distance = sum(abs(a - b) for a, b in zip(x, center))
-            assert distance < 2 ** model.accumulator_bits
+            assert distance < 2 ** f.accumulator_bits
 
 
 class TestClassifyImage:
@@ -375,6 +372,8 @@ class TestClassifyImage:
 class TestPipelineModel:
     @pytest.mark.parametrize("dims,classes,latency", [
         (2, 4, 8), (1, 2, 4), (3, 5, 12),
+        # exact where float log2 rounds 2**49 + 1 down to 2**49
+        (1, 2 ** 49, 52), (1, 2 ** 49 + 1, 53), (2, 2 ** 64 + 1, 71),
     ])
     def test_latency_formula(self, dims, classes, latency):
         assert PipelineModel(dims, classes).latency == latency
@@ -383,6 +382,7 @@ class TestPipelineModel:
         assert PipelineModel(1, 2).accumulator_bits == 10
         assert PipelineModel(4, 2).accumulator_bits == 10
         assert PipelineModel(8, 2).accumulator_bits == 11
+        assert PipelineModel(2 ** 49 + 1, 2).accumulator_bits == 58
 
     @pytest.mark.parametrize("dims,classes", [(2, 0), (2, 1), (0, 4), (-1, 4)])
     def test_invalid_shape_rejected(self, dims, classes):
@@ -410,10 +410,13 @@ class TestSimulatePipeline:
                 f = ClassCenterFile(dims, classes, 8,
                                     rng.integers(0, 256, dims * classes).tolist())
                 model = PipelineModel(dims, classes)
+                assert f.latency == model.latency
                 schedule = rng.integers(0, 256, (10, dims)).tolist()
                 out = simulate_pipeline(model, f, schedule)
                 assert [lab for _, lab in out] == [
                     classify(f, x) for x in schedule]
+                # a center file is the model it programs
+                assert simulate_pipeline(f, f, schedule) == out
 
     def test_mismatched_model_rejected(self):
         with pytest.raises(ValueError):

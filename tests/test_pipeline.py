@@ -10,6 +10,7 @@ multisets.
 
 import builtins
 import io
+import json
 import re
 from fractions import Fraction
 
@@ -123,7 +124,12 @@ def test_translating_a_sign_translates_its_bbox_and_centroid(placement):
 SETTING_ROWS = ([(f"skip_{kind}", {"skip_classes": {v}}, message)
                  for kind, v, message in int_refusals("skip class", 0, 3)]
                 + [(f"clock_{kind}", {"clock_mhz": v}, message)
-                   for kind, v, message in real_refusals("clock_mhz")])
+                   for kind, v, message in real_refusals("clock_mhz")]
+                # a float whose Hz value is not: run_pipeline refused
+                # every frame of it as `frequency ... got inf`
+                + [("clock_past_float_in_hz", {"clock_mhz": 1e303},
+                    "clock_mhz must be finite and > 0, got 1e+303; in Hz "
+                    "it must be finite too")])
 
 
 @pytest.mark.parametrize("kwargs, message", [
@@ -209,3 +215,12 @@ def test_a_default_run_opens_no_file(monkeypatch):
         monkeypatch.setattr(module, "open", refuse)
     report, _ = run_pipeline(PipelineConfig(), disc_frame())
     assert len(report.detections) == 1
+
+
+def test_a_numpy_clock_is_kept_as_a_float():
+    # a float32 clock left est_fps a float32, which json refused, and its
+    # Hz value overflowed float32 from about 3.4e32 MHz
+    config = PipelineConfig(clock_mhz=np.float32(1e33))
+    report, _ = run_pipeline(config, disc_frame(20, 20, 4, 2))
+    assert type(report.est_fps) is float
+    assert json.loads(json.dumps(report.to_dict()))["est_fps"] > 1e35
