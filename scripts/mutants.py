@@ -88,9 +88,9 @@ MUTANTS = [
            # a 3-digit token at a cut then sends the block to the scan
            (T_IMAGE + "TestP3Reader::test_peak_memory_per_payload_byte",)),
     # the trainer's steps and merge
-    Mutant("trainer last-step replay skipped", "src/signpipe/trainer.py",
-           "for j in np.flatnonzero(last & (n[:, 0] > 0)):",
-           "for j in np.flatnonzero(last & (n[:, 0] > 0))[:0]:",
+    Mutant("trainer mean over 256 levels", "src/signpipe/trainer.py",
+           "sums[:, 1:] / np.maximum(n, 1) / 255.0",
+           "sums[:, 1:] / np.maximum(n, 1) / 256.0",
            (T_TRAINER + "test_converged_points_bit_identical",)),
     Mutant("trainer run ends stop one level short", "src/signpipe/trainer.py",
            "while (move := d2(out) <= bw2).any():",
@@ -108,6 +108,12 @@ MUTANTS = [
            "src/signpipe/oracles.py",
            "v += 128_500_000", "v += 128_499_999",
            (T_PIPELINE + "test_verify_frame_agrees_on_random_small_frames",)),
+    # a float mean can end an ulp off the exact one: on bandwidth_tie it
+    # takes in the sample at the radius
+    Mutant("reference takes the float mean again", "src/signpipe/oracles.py",
+           "new = inside.sum(axis=0) / len(inside) / 255.0 if",
+           "new = pts[d2 <= config.bandwidth ** 2].mean(axis=0) if",
+           (T_TRAINER + "test_converged_points_bit_identical",)),
     Mutant("stream median takes the 4th value", "src/signpipe/oracles.py",
            "return sorted(cells)[4]", "return sorted(cells)[3]",
            (T_FILTERS + "TestMedian::test_matches_stream_reference",)),
@@ -158,6 +164,27 @@ MUTANTS = [
     Mutant("center file skips the shape rules", "src/signpipe/mdc.py",
            "        super().__post_init__()\n", "",
            (T_MDC + "test_error_message",)),
+    # objects of another type
+    Mutant("classify takes any centers", "src/signpipe/mdc.py",
+           '    _kind("centers", file, ClassCenterFile, "a ClassCenterFile")\n'
+           '    x = _vector(', "    x = _vector(",
+           (T_MDC + "test_error_message",)),
+    Mutant("write port takes any centers", "src/signpipe/mdc.py",
+           '    _kind("centers", file, ClassCenterFile, "a ClassCenterFile")\n'
+           '    _int_in("address"', '    _int_in("address"',
+           (T_MDC + "test_error_message",)),
+    Mutant("cycle model takes any model", "src/signpipe/mdc.py",
+           '    _kind("model", model, PipelineModel, "a PipelineModel")\n', "",
+           (T_MDC + "test_error_message",)),
+    Mutant("cycle model takes any centers", "src/signpipe/mdc.py",
+           '"a PipelineModel")\n'
+           '    _kind("centers", file, ClassCenterFile, "a ClassCenterFile")',
+           '"a PipelineModel")',
+           (T_MDC + "test_error_message",)),
+    Mutant("trainer takes any config", "src/signpipe/trainer.py",
+           'config, MeanShiftConfig, "a MeanShiftConfig")',
+           'config, object, "an object")',
+           ("tests/test_trainer.py::TestMeanShift::test_config_validation",)),
     Mutant("clock admitted past the float range in Hz",
            "src/signpipe/pipeline.py",
            "if mhz * 1e6 > sys.float_info.max:", "if False:",

@@ -101,6 +101,7 @@ class ClassCenterFile(PipelineModel):
 
 def program_center(file: ClassCenterFile, addr, value):
     """Write one register cell; refuses out-of-range addresses or values."""
+    _kind("centers", file, ClassCenterFile, "a ClassCenterFile")
     _int_in("address", addr, 0, len(file.cells) - 1)
     file.cells[addr] = _int_in(f"cell {addr}", value, 0,
                                (1 << file.resolution_bits) - 1)
@@ -110,6 +111,7 @@ def program_center(file: ClassCenterFile, addr, value):
 def classify(file: ClassCenterFile, x):
     """Index of the center nearest to x in Manhattan distance; ties break
     to the smallest class index. The scalar reference for any D."""
+    _kind("centers", file, ClassCenterFile, "a ClassCenterFile")
     x = _vector("feature vector", x, file)
     dists = [sum(abs(a - b) for a, b in zip(x, center))
              for center in file.centers()]
@@ -200,6 +202,8 @@ def simulate_pipeline(model: PipelineModel, file: ClassCenterFile, schedule):
     at cycle t + 3*dims + ceil(log2 C). Returns a list of (cycle, label).
     A center file is a model, so it may be passed as its own `model`.
     """
+    _kind("model", model, PipelineModel, "a PipelineModel")
+    _kind("centers", file, ClassCenterFile, "a ClassCenterFile")
     if (model.dims, model.num_classes) != (file.dims, file.num_classes):
         raise ValueError("model and register file disagree on dims/classes")
     _kind("schedule", schedule, Iterable, "a sequence of feature vectors")

@@ -134,10 +134,11 @@ def scalar_classify_image(centers, chroma: ImageCbCr) -> ImageGray:
 
 def loop_converge(samples, config):
     """Flat-kernel mean shift one seed at a time; each step scans every
-    sample. Returns the convergence points in seed order, normalized, the
+    sample and moves to the exact mean of those its float distance test
+    keeps. Returns the convergence points in seed order, normalized, the
     same contract as `trainer.converge`."""
-    pts = np.asarray(samples, dtype=np.float64)
-    pts = pts / 255.0
+    levels = np.asarray(samples, dtype=np.float64)
+    pts = levels / 255.0
     seeds = pts[::config.seed_stride]
 
     converged = np.empty_like(seeds)
@@ -145,8 +146,8 @@ def loop_converge(samples, config):
         y = seed
         for _ in range(trainer.MAX_ITERATIONS):
             d2 = ((pts - y) ** 2).sum(axis=1)
-            inside = pts[d2 <= config.bandwidth ** 2]
-            new = inside.mean(axis=0) if len(inside) else y
+            inside = levels[d2 <= config.bandwidth ** 2]
+            new = inside.sum(axis=0) / len(inside) / 255.0 if len(inside) else y
             shift = np.hypot(*(new - y))
             y = new
             if shift < trainer.TOLERANCE:

@@ -16,16 +16,15 @@ as the per-seed loop's distance only grows away from the point, and a
 run sums exactly (integers below 2**53) in two lookups. The circle places
 each run's ends and the loop's own float test moves them until it agrees,
 so a step costs a few operations per row, whatever the number of distinct
-values. A stopping point takes its last step again, as the loop sums it.
+values.
 
 A flat kernel's step depends only on which samples fall inside the
-radius. The stepped points differ from the per-seed loop's only by the
-rounding of the sums, so both select the same samples at every step and
-stop at the same step, and the last step taken again returns the loop's
-convergence points bit for bit. The exception is a sample within that
-rounding of the radius, or a shift within it of the tolerance, which can
-send a stepped path another way. `oracles.loop_converge` is the per-seed
-loop, kept as the reference.
+radius. The runs select exactly the samples the per-seed loop's float
+distance test selects, and a step is their exact mean: the integer sums
+over the count, over 255. `oracles.loop_converge`, the per-seed loop kept
+as the reference, takes the same mean of the same samples, so both take
+the same steps, stop at the same step and return the same convergence
+points bit for bit, on every input.
 
 The merge is greedy and order-dependent; it runs over the seeds in
 sample order. It works on Python floats with numpy's own operations for
@@ -42,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image import _finite, _int_in
+from .image import _finite, _int_in, _kind
 from .mdc import ClassCenterFile, _centers_json, centers_to_json
 
 # a step's (points x rows) arrays hold at most 2 * _BLOCK elements of 8
@@ -91,6 +90,7 @@ def converge(samples, config: MeanShiftConfig) -> np.ndarray:
 
     Samples must be integer (Cb, Cr) values in [0, 255].
     """
+    _kind("config", config, MeanShiftConfig, "a MeanShiftConfig")
     pts = np.asarray(samples, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[0] == 0 or pts.shape[1] != 2:
         raise ValueError("samples must be a non-empty list of (Cb, Cr) pairs")
@@ -99,7 +99,6 @@ def converge(samples, config: MeanShiftConfig) -> np.ndarray:
     keys = (pts[:, 0] * 256 + pts[:, 1]).astype(np.intp)
     seeds, seed_slot = np.unique(keys[::config.seed_stride],
                                  return_inverse=True)
-    pts = pts / 255.0    # a new array: samples may be the caller's
     # prefix sums, after a zero, of count, count*Cb and count*Cr over the
     # cells 256*Cb + Cr - base; clipped to its ends, cum reads past them
     row, base = keys >> 8, int(keys.min())
@@ -111,19 +110,18 @@ def converge(samples, config: MeanShiftConfig) -> np.ndarray:
     reach = min(256, math.ceil(255 * float(config.bandwidth)))
     span = min(256, 2 * reach + 3)    # the Cb rows a point can reach
     y = np.column_stack([seeds >> 8, seeds & 255]) / 255.0
-    ends = {}    # the last step's end, per neighborhood
     # a step holds at most 10 (points x span) arrays of 8 bytes at once
     rows = max(1, min(len(seeds), 2 * _BLOCK // (10 * span)))
     for lo in range(0, len(seeds), rows):
         active = np.arange(lo, min(lo + rows, len(seeds)))
-        for step in range(MAX_ITERATIONS):
+        for _ in range(MAX_ITERATIONS):
             # seeds at the same point take the same step: take it once.
             # Each (cb, cr) row is one complex value to np.unique, which
             # sorts and compares it as the pair, 6x faster than axis=0
             p, inv = np.unique(y[active].view(np.complex128).reshape(-1),
                                return_inverse=True)
             p = p.view(np.float64).reshape(-1, 2)
-            first, start, stop = _runs(p, bw2, reach, span, base)
+            start, stop = _runs(p, bw2, reach, span, base)
             sums = np.column_stack([(c.take(stop, mode="clip")
                                      - c.take(start, mode="clip")).sum(axis=1)
                                     for c in cum])
@@ -131,18 +129,6 @@ def converge(samples, config: MeanShiftConfig) -> np.ndarray:
             new = np.where(n > 0, sums[:, 1:] / np.maximum(n, 1) / 255.0, p)
             shift = np.hypot(*(new - p).T)
             last = shift < TOLERANCE
-            if step == MAX_ITERATIONS - 1:
-                last[:] = True
-            # a stopping point's last step again, in sample order, once per
-            # neighborhood (its runs, all a step reads); an empty one stays
-            for j in np.flatnonzero(last & (n[:, 0] > 0)):
-                key = start[j].tobytes() + stop[j].tobytes()
-                if key not in ends:
-                    run = np.zeros((2, 256), np.intp)    # per Cb row
-                    run[:, first[j]:first[j] + span] = start[j], stop[j]
-                    hit = (run[0, row] <= cell) & (cell < run[1, row])
-                    ends[key] = np.compress(hit, pts, axis=0).mean(axis=0)
-                new[j] = ends[key]
             y[active] = new[inv]
             active = active[~last[inv]]
             if not len(active):
@@ -175,7 +161,7 @@ def _runs(p, bw2, reach, span, base):
         bounds -= out * move
     np.maximum(bounds[0], bounds[1] + 1, out=bounds[1])
     bounds += ((first[:, None] + np.arange(span)) << 8) - base
-    return first, bounds[0], bounds[1]
+    return bounds[0], bounds[1]
 
 
 def merge_modes(converged, merge_radius) -> ClusterResult:

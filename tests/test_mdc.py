@@ -174,6 +174,14 @@ REAL_ROWS = [(f"frequency_{kind}",
      "schedule entry at cycle 0 must be a sequence of length 1, got 5"),
     (lambda: simulate_pipeline(PipelineModel(2, 2), ClassCenterFile(2, 2), 5),
      "schedule must be a sequence of feature vectors, not int"),
+    # a model or center file of another type
+    (lambda: classify(5, (1, 2)), "centers must be a ClassCenterFile, not int"),
+    (lambda: program_center(5, 0, 1),
+     "centers must be a ClassCenterFile, not int"),
+    (lambda: simulate_pipeline(5, ClassCenterFile(2, 2), []),
+     "model must be a PipelineModel, not int"),
+    (lambda: simulate_pipeline(PipelineModel(2, 2), PipelineModel(2, 2), []),
+     "centers must be a ClassCenterFile, not PipelineModel"),
     # the classifier's own rule: it classified 8-bit chroma with them
     (lambda: classify_image(
         ClassCenterFile.from_centers([(8, 8), (5, 9), (7, 10)],
@@ -213,7 +221,9 @@ REAL_ROWS = [(f"frequency_{kind}",
         "float_model_classes", "model_bits_above_32", "int_cells",
         "int_names", "int_center", "float_address", "float_class_index",
         "int_centers", "int_feature_vector", "long_feature_vector",
-        "int_schedule_entry", "int_schedule", "classify_4bit",
+        "int_schedule_entry", "int_schedule", "int_classify_centers",
+        "int_program_centers", "int_model", "model_as_centers",
+        "classify_4bit",
         "huge_dims", "huge_frame_width",
         "huge_fraction_frequency", "text_feature", "float_feature",
         "bool_feature", "negative_feature", "feature_above_range",

@@ -50,6 +50,23 @@ class TestMeanShift:
             assert abs(mode[0] - best[0]) <= 2
             assert abs(mode[1] - best[1]) <= 2
 
+    @pytest.mark.parametrize("frame, config, want, count", [
+        # the README's `synth --sigma 4` frame at the defaults
+        (disc_frame(sigma=4), MeanShiftConfig(),
+         {(127, 128): 8752, (88, 151): 711, (116, 157): 537}, 3),
+        # two modes whose exact mean in Cr lies on a half level, 90.5 and
+        # 147.5, which rounds half up
+        (disc_frame(sigma=10, seed=1),
+         MeanShiftConfig(bandwidth=0.02, seed_stride=1),
+         {(140, 91): 1, (58, 148): 3}, 50),
+    ])
+    def test_trained_modes_are_the_recorded_ones(self, frame, config, want,
+                                                 count):
+        res = mean_shift(rgb_to_cbcr(frame).data.reshape(-1, 2), config)
+        got = dict(zip(res.modes, res.support))
+        assert len(res.modes) == count
+        assert {mode: got.get(mode) for mode in want} == want
+
     def test_deterministic(self):
         cfg = MeanShiftConfig(bandwidth=0.08)
         samples = two_blobs()
@@ -110,9 +127,16 @@ class TestMeanShift:
                  ({"bandwidth": np.float64(1e200)},
                   "bandwidth must be finite and > 0, got 1e+200; its "
                   "square must be finite too")]
-        for kwargs, message in rows:
+        calls = [(lambda kwargs=kwargs: MeanShiftConfig(**kwargs), message)
+                 for kwargs, message in rows]
+        # a config of another type
+        calls += [(lambda: mean_shift([(1, 2)], None),
+                   "config must be a MeanShiftConfig, not NoneType"),
+                  (lambda: converge([(1, 2)], {}),
+                   "config must be a MeanShiftConfig, not dict")]
+        for call, message in calls:
             with pytest.raises(ValueError, match=re.escape(message)):
-                MeanShiftConfig(**kwargs)
+                call()
 
     @pytest.mark.parametrize("bandwidth", [np.float32(0.05),
                                            np.float32(3e19)])
@@ -187,6 +211,11 @@ EXAMPLES = {
                                       for j in range(7)],
                                      MeanShiftConfig(bandwidth=7 / 255,
                                                      seed_stride=1)),
+    # the seed (98, 105) steps to (100, 104), exactly 5 levels from
+    # (104, 101), a 3-4-5 triangle: a mean an ulp off 100/255 decides
+    # that sample the other way
+    "bandwidth_tie": ([(98, 105), (104, 101), (98, 98), (102, 103)],
+                      MeanShiftConfig(bandwidth=5 / 255, seed_stride=1)),
     # every row and level within reach of every point
     "bandwidth_2": (two_blobs(n=40, sigma=20.0),
                     MeanShiftConfig(bandwidth=2.0, seed_stride=3)),
@@ -224,7 +253,9 @@ class TestAgainstLoopReference:
 
     @settings(max_examples=60, deadline=None)
     @given(samples=training_sets(),
-           bandwidth=st.floats(0.01, 0.5),
+           # k / 255 puts samples exactly at the bandwidth
+           bandwidth=st.one_of(st.floats(0.01, 0.5),
+                               st.integers(1, 60).map(lambda k: k / 255)),
            stride=st.integers(1, 5),
            max_iterations=st.one_of(st.just(500), st.integers(1, 4)))
     def test_same_modes_and_support(self, samples, bandwidth, stride,
@@ -236,22 +267,6 @@ class TestAgainstLoopReference:
                                     cfg.bandwidth / 2)
         assert got.modes == want.modes
         assert got.support == want.support
-
-    @pytest.mark.xfail(strict=True, reason=(
-        "converge leaves out a sample exactly at the bandwidth that the "
-        "loop's float mean takes in: the CHANGES.md line 'FOUND: "
-        "trainer.converge at an exact bandwidth tie'"))
-    def test_same_modes_at_an_exact_bandwidth_tie(self):
-        # the seed (98, 105) steps to (100, 104), exactly 5 levels from
-        # (104, 101), a 3-4-5 triangle. The stepped point, the exact mean
-        # 100/255, leaves that sample out; the loop's float mean, one ulp
-        # above, takes it in. The loop merges [(102, 103), (98, 98)], [3, 1]
-        samples = [(98, 105), (104, 101), (98, 98), (102, 103)]
-        cfg = MeanShiftConfig(bandwidth=5 / 255, seed_stride=1)
-        got = mean_shift(samples, cfg)
-        want = loop_merge_modes(loop_converge(samples, cfg),
-                                cfg.bandwidth / 2)
-        assert (got.modes, got.support) == (want.modes, want.support)
 
     @settings(max_examples=100, deadline=None)
     @given(points=st.lists(st.tuples(
@@ -269,8 +284,8 @@ class TestAgainstLoopReference:
         # per-seed loop's distance puts within the bandwidth
         p = np.array(points)
         reach = min(256, math.ceil(255 * bandwidth))
-        first, start, stop = trainer._runs(p, bandwidth ** 2, reach,
-                                           min(256, 2 * reach + 3), 0)
+        start, stop = trainer._runs(p, bandwidth ** 2, reach,
+                                    min(256, 2 * reach + 3), 0)
         level = np.arange(256) / 255.0
         for k, (p0, p1) in enumerate(p):
             inside = (np.square(level - p0)[:, None]
