@@ -67,6 +67,15 @@ MUTANTS = [
     Mutant("labeler link dedup dropped", "src/signpipe/ccl.py",
            "    first |= is_start[link]\n", "",
            (T_CCL + "test_matches_oracle",)),
+    # a run left one jump short of its root keeps a provisional id
+    Mutant("labeler one pointer jump per round", "src/signpipe/ccl.py",
+           "            jumped = root[root]\n"
+           "            if np.array_equal(jumped, root):\n"
+           "                break\n"
+           "            root = jumped\n",
+           "            root = root[root]\n"
+           "            break\n",
+           (T_CCL + "test_matches_oracle",)),
     Mutant("label ids from 0", "src/signpipe/ccl.py",
            "range(1, firsts.size + 1), flat", "range(firsts.size), flat",
            (T_CCL + "test_components_are_single_class",
@@ -100,6 +109,10 @@ MUTANTS = [
            "modes[k] = ((m0 * s + y0) / (s + 1), (m1 * s + y1) / (s + 1))",
            "modes[k] = ((m0 + y0) / 2, (m1 + y1) / 2)",
            (T_TRAINER + "test_same_modes_and_support",)),
+    Mutant("merge radius test <= -> <", "src/signpipe/trainer.py",
+           "math.hypot(y0 - m0, y1 - m1) <= merge_radius",
+           "math.hypot(y0 - m0, y1 - m1) < merge_radius",
+           (T_TRAINER + "test_merge_at_the_radius",)),
     # the references
     Mutant("flood fill ids shifted by one", "src/signpipe/oracles.py",
            "ComponentFeatures(next_id, c,", "ComponentFeatures(next_id + 1, c,",
@@ -144,6 +157,10 @@ MUTANTS = [
     Mutant("cycle model selects the larger", "src/signpipe/mdc.py",
            "min(candidates[i:i + 2])", "max(candidates[i:i + 2])",
            (T_MDC + "TestSimulatePipeline::test_all_shapes_agree_with_classify",)),
+    Mutant("cycle model ignores the file's bits", "src/signpipe/mdc.py",
+           "!= (file.dims, file.num_classes, file.resolution_bits)",
+           "!= (file.dims, file.num_classes, model.resolution_bits)",
+           (T_MDC + "test_error_message",)),
     Mutant("selection levels ceil(log2 (C + 1))", "src/signpipe/mdc.py",
            "(self.num_classes - 1).bit_length()",
            "self.num_classes.bit_length()",
@@ -185,23 +202,25 @@ MUTANTS = [
            'config, MeanShiftConfig, "a MeanShiftConfig")',
            'config, object, "an object")',
            ("tests/test_trainer.py::TestMeanShift::test_config_validation",)),
+    Mutant("chain takes any config", "src/signpipe/pipeline.py",
+           '    _kind("config", config, PipelineConfig, "a PipelineConfig")\n',
+           "",
+           (T_PIPELINE
+            + "test_config_refuses_class_indices_outside_the_center_file",)),
+    Mutant("conversion takes any image", "src/signpipe/image.py",
+           '    _kind("image", img, ImageRGB, "an ImageRGB")\n', "",
+           (T_PIPELINE
+            + "test_config_refuses_class_indices_outside_the_center_file",)),
+    Mutant("detect takes any rule", "src/signpipe/detector.py",
+           '    _kind("rule", rule, DetectionRule, "a DetectionRule")\n', "",
+           (T_DETECT + "test_rule_invariants",)),
     Mutant("clock admitted past the float range in Hz",
            "src/signpipe/pipeline.py",
            "if mhz * 1e6 > sys.float_info.max:", "if False:",
            (T_PIPELINE
             + "test_config_refuses_class_indices_outside_the_center_file",
             "tests/test_cli.py::test_bad_input_exits_with_one_line")),
-    # equivalent: no output changes, so no test can catch them
-    Mutant("labeler one pointer jump per round", "src/signpipe/ccl.py",
-           "            jumped = root[root]\n"
-           "            if np.array_equal(jumped, root):\n"
-           "                break\n"
-           "            root = jumped\n",
-           "            root = root[root]\n"
-           "            break\n",
-           (T_CCL + "test_matches_oracle",),
-           equivalent="a single jump per round still ends with every run "
-           "at its root, only in more rounds of the union"),
+    # equivalent: no output changes, so no test can catch it
     Mutant("trainer stop test < -> <=", "src/signpipe/trainer.py",
            "last = shift < TOLERANCE", "last = shift <= TOLERANCE",
            (T_TRAINER + "test_converged_points_bit_identical",),

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .image import ImageRGB, _int_in, _quote
+from .image import ImageRGB, _int_in, _kind, _quote
 
 ANNOTATION_COLOR = (0, 255, 0)
 
@@ -62,6 +62,7 @@ class DetectionRule:
 
 def detect(components, rule: DetectionRule):
     """The components that pass the rule, in order."""
+    _kind("rule", rule, DetectionRule, "a DetectionRule")
     # lo < w/h < hi in integers: denominators and heights are positive
     lo, hi = rule.ratio_min, rule.ratio_max
     out = []

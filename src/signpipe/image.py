@@ -266,6 +266,7 @@ def rgb_to_cbcr(img: ImageRGB) -> ImageCbCr:
     Rounds half-up and clamps to [0, 255]; any achromatic pixel (r=g=b)
     maps exactly to (128, 128). Each pixel is a row of `_cbcr_of_differences`.
     """
+    _kind("image", img, ImageRGB, "an ImageRGB")
     r, g, b = (img.data[:, :, i] for i in range(3))
     index = r * np.int32(511) + 130560
     index += b

@@ -204,8 +204,10 @@ def simulate_pipeline(model: PipelineModel, file: ClassCenterFile, schedule):
     """
     _kind("model", model, PipelineModel, "a PipelineModel")
     _kind("centers", file, ClassCenterFile, "a ClassCenterFile")
-    if (model.dims, model.num_classes) != (file.dims, file.num_classes):
-        raise ValueError("model and register file disagree on dims/classes")
+    if ((model.dims, model.num_classes, model.resolution_bits)
+            != (file.dims, file.num_classes, file.resolution_bits)):
+        raise ValueError("model and register file disagree on "
+                         "dims/classes/bits")
     _kind("schedule", schedule, Iterable, "a sequence of feature vectors")
     stages = [stage for d in range(model.dims) for stage in (
         functools.partial(_subtract, file.centers(), d), _absolute,

@@ -14,9 +14,9 @@ agreement is verification rather than shared code agreeing with itself:
   (Cb, Cr) value, against the lookup table of `mdc.classify_image`;
 - `loop_converge`: mean shift one seed at a time, each step scanning every
   sample, against the trainer's batched steps over distinct chroma values;
-- `loop_merge_modes`: the greedy merge over numpy rows, one `np.hypot`
-  array call per (point, mode) pair, against `trainer.merge_modes` over
-  Python floats with its squared-distance band.
+- `loop_merge_modes`: the greedy merge over numpy rows and running means,
+  against `trainer.merge_modes` over Python floats; both decide with
+  `math.hypot(...) <= merge_radius`, so they agree bit for bit.
 
 The classifier's per-vector references live in `mdc`: the scalar
 `classify`, one argmin per feature vector for any D, and
@@ -24,6 +24,8 @@ The classifier's per-vector references live in `mdc`: the scalar
 pairwise `<=` tree. Each checks the 65,536-entry lookup table of
 `classify_image`, and the two check each other for any D.
 """
+
+import math
 
 import numpy as np
 
@@ -163,7 +165,7 @@ def loop_merge_modes(converged, merge_radius):
     support = []
     for y in converged:
         for k, m in enumerate(modes):
-            if np.hypot(*(y - m)) <= merge_radius:
+            if math.hypot(*(y - m)) <= merge_radius:
                 modes[k] = (m * support[k] + y) / (support[k] + 1)
                 support[k] += 1
                 break

@@ -101,6 +101,7 @@ class FrameArtifacts:
 def _stages(config: PipelineConfig):
     """The chain in order, one (name, enabled, production, reference) per
     stage. Built on each call, so the stage functions resolve when it runs."""
+    _kind("config", config, PipelineConfig, "a PipelineConfig")
     centers, skip = config.centers, config.skip_classes
     return [
         ("conversion", True, rgb_to_cbcr, oracles.dot_rgb_to_cbcr),
@@ -141,9 +142,9 @@ def ablation_stats(config: PipelineConfig, rgb: ImageRGB):
 
     Returns (count_without, count_with, reduction_percent).
     """
+    with_ = len(_run_stages(config, rgb)[1][1])    # checks the arguments
     base = replace(config, gaussian=False, median=False)
     without = len(_run_stages(base, rgb)[1][1])
-    with_ = len(_run_stages(config, rgb)[1][1])
     reduction = 100.0 * (without - with_) / without if without else 0.0
     return without, with_, reduction
 

@@ -26,13 +26,12 @@ as the reference, takes the same mean of the same samples, so both take
 the same steps, stop at the same step and return the same convergence
 points bit for bit, on every input.
 
-The merge is greedy and order-dependent; it runs over the seeds in
-sample order. It works on Python floats with numpy's own operations for
-the running means, and it decides "within the radius" from the squared
-distance except within a relative 1e-9 of the radius squared, where it
-calls `np.hypot` as `oracles.loop_merge_modes` does, since `d2 <= r*r`
-and `np.hypot` can decide apart there by a last bit. The algorithm is
-deterministic for a fixed sample order and seed stride.
+The merge is greedy over the seeds in sample order, so deterministic for
+a fixed sample order and seed stride. A point joins the first mode with
+`math.hypot(...) <= merge_radius`, which does not underflow as a squared
+distance can; `oracles.loop_merge_modes` makes the same test and takes the
+same running means, so the two return the same modes and support bit for
+bit, on every input.
 """
 
 import math
@@ -170,17 +169,9 @@ def merge_modes(converged, merge_radius) -> ClusterResult:
     position."""
     modes = []    # normalized running means, (cb, cr) float pairs
     support = []
-    # the squared distance settles the radius test outside this band;
-    # inside it np.hypot decides, as the reference does (and always when
-    # the radius squared is subnormal, so too coarse to band)
-    r2 = merge_radius * merge_radius
-    near, far = ((r2 * (1 - 1e-9), r2 * (1 + 1e-9)) if r2 >= sys.float_info.min
-                 else (-1.0, math.inf))
     for y0, y1 in np.asarray(converged).tolist():
         for k, (m0, m1) in enumerate(modes):
-            dx, dy = y0 - m0, y1 - m1
-            d2 = dx * dx + dy * dy
-            if d2 <= near or (d2 <= far and np.hypot(dx, dy) <= merge_radius):
+            if math.hypot(y0 - m0, y1 - m1) <= merge_radius:
                 s = support[k]
                 modes[k] = ((m0 * s + y0) / (s + 1), (m1 * s + y1) / (s + 1))
                 support[k] = s + 1

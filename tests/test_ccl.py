@@ -113,6 +113,8 @@ class TestFloodFillEquivalence:
               frozenset({0})))
     @example((gray([[0, 2, 2], [2, 0, 0]]), frozenset({0, 2})))
     @example((gray([[0, 1, 1, 2], [0, 0, 1, 2], [2, 1, 1, 0]]), frozenset()))
+    @example((gray([[2, 0, 2, 0, 2, 2, 2], [2, 0, 2, 2, 2, 0, 2],
+                    [2, 2, 2, 0, 0, 0, 0]]), frozenset({0})))
     @example((serpentine(21), frozenset({0})))
     @example((spiral(21), frozenset({0})))
     @settings(max_examples=150, deadline=None)

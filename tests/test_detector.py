@@ -111,9 +111,14 @@ class TestDetect:
                   "target_class must be an int >= 0, got 1.5"),
                  ({"area_min": float("nan")},
                   "area_min must be an int >= 1, got nan")]
-        for kwargs, message in rows:
+        calls = [(lambda kwargs=kwargs: DetectionRule(**kwargs), message)
+                 for kwargs, message in rows]
+        # a rule of another type: an AttributeError from detect before
+        calls += [(lambda: detect([component()], None),
+                   "rule must be a DetectionRule, not NoneType")]
+        for call, message in calls:
             with pytest.raises(ValueError, match=re.escape(message)):
-                DetectionRule(**kwargs)
+                call()
 
 
 class TestAnnotate:

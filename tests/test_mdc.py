@@ -182,6 +182,15 @@ REAL_ROWS = [(f"frequency_{kind}",
      "model must be a PipelineModel, not int"),
     (lambda: simulate_pipeline(PipelineModel(2, 2), PipelineModel(2, 2), []),
      "centers must be a ClassCenterFile, not PipelineModel"),
+    # a model of another shape than its file: 16-bit vectors were labeled
+    # against 8-bit centers
+    (lambda: simulate_pipeline(PipelineModel(1, 2), ClassCenterFile(2, 2), []),
+     "model and register file disagree on dims/classes/bits"),
+    (lambda: simulate_pipeline(PipelineModel(2, 3), ClassCenterFile(2, 2), []),
+     "model and register file disagree on dims/classes/bits"),
+    (lambda: simulate_pipeline(PipelineModel(2, 2, 16), ClassCenterFile(2, 2),
+                               [(300, 60000)]),
+     "model and register file disagree on dims/classes/bits"),
     # the classifier's own rule: it classified 8-bit chroma with them
     (lambda: classify_image(
         ClassCenterFile.from_centers([(8, 8), (5, 9), (7, 10)],
@@ -207,8 +216,8 @@ REAL_ROWS = [(f"frequency_{kind}",
      "feature vector component 0 must be an int in [0, 255], got -1"),
     (lambda: classify(ClassCenterFile(2, 2), (300, 0)),
      "feature vector component 0 must be an int in [0, 255], got 300"),
-    (lambda: simulate_pipeline(PipelineModel(2, 2, 4), ClassCenterFile(2, 2),
-                               [(1, 2), (3, 16)]),
+    (lambda: simulate_pipeline(PipelineModel(2, 2, 4),
+                               ClassCenterFile(2, 2, 4), [(1, 2), (3, 16)]),
      "schedule entry at cycle 1 component 1 must be an int in [0, 15], "
      "got 16"),
 ] + [row[1:] for row in INT_ROWS + REAL_ROWS],
@@ -223,6 +232,7 @@ REAL_ROWS = [(f"frequency_{kind}",
         "int_centers", "int_feature_vector", "long_feature_vector",
         "int_schedule_entry", "int_schedule", "int_classify_centers",
         "int_program_centers", "int_model", "model_as_centers",
+        "model_dims_differ", "model_classes_differ", "model_bits_differ",
         "classify_4bit",
         "huge_dims", "huge_frame_width",
         "huge_fraction_frequency", "text_feature", "float_feature",

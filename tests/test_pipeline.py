@@ -25,8 +25,8 @@ from signpipe.filters import gaussian3x3, median3x3
 from signpipe.image import ImageRGB, cbcr_to_rgb, rgb_to_cbcr
 from signpipe.mdc import (ClassCenterFile, centers_from_json, centers_to_json,
                           classify_image)
-from signpipe.pipeline import (PipelineConfig, default_centers, run_pipeline,
-                               verify_frame)
+from signpipe.pipeline import (PipelineConfig, ablation_stats, default_centers,
+                               run_pipeline, verify_frame)
 from signpipe.synthetic import (BACKGROUND_CHROMA, RED_CHROMA, YELLOW_CHROMA,
                                 chroma_constant, disc_frame, paint_disc)
 
@@ -120,6 +120,8 @@ def test_translating_a_sign_translates_its_bbox_and_centroid(placement):
         sorted(moved(c, 0, 0) for c in after)
 
 
+FRAME = ImageRGB(np.zeros((2, 3, 3), np.uint8))
+
 # a skip class as each refused kind of value, and clock_mhz likewise
 SETTING_ROWS = ([(f"skip_{kind}", {"skip_classes": {v}}, message)
                  for kind, v, message in int_refusals("skip class", 0, 3)]
@@ -151,16 +153,31 @@ SETTING_ROWS = ([(f"skip_{kind}", {"skip_classes": {v}}, message)
     ({"gaussian": "no"}, "gaussian must be a bool, not str"),
     ({"median": 0}, "median must be a bool, not int"),
     ({"gaussian": None}, "gaussian must be a bool, not NoneType"),
+    # the entry points' own arguments: each was an AttributeError,
+    # IndexError or TypeError from inside the chain
+    (lambda: run_pipeline(None, FRAME),
+     "config must be a PipelineConfig, not NoneType"),
+    (lambda: verify_frame(None, FRAME),
+     "config must be a PipelineConfig, not NoneType"),
+    (lambda: ablation_stats(None, FRAME),
+     "config must be a PipelineConfig, not NoneType"),
+    (lambda: run_pipeline(PipelineConfig(), rgb_to_cbcr(FRAME)),
+     "image must be an ImageRGB, not ImageCbCr"),
+    (lambda: ablation_stats(PipelineConfig(), FRAME.data),
+     "image must be an ImageRGB, not ndarray"),
 ] + [row[1:] for row in SETTING_ROWS],
    ids=["skip_past_end", "negative_skip", "target_past_end",
         "three_dim_centers", "fractional_skip", "bool_skip", "int_skip_set",
         "unhashable_skip", "int_centers", "int_rule", "str_gaussian",
-        "int_median", "none_gaussian"]
+        "int_median", "none_gaussian", "none_config_run",
+        "none_config_verify", "none_config_ablation", "chroma_frame_run",
+        "pixel_array_ablation"]
    + [row[0] for row in SETTING_ROWS])
 def test_config_refuses_class_indices_outside_the_center_file(kwargs, message):
-    # the shipped center file has 4 classes
+    # the shipped center file has 4 classes; a row that is a call runs as is
+    call = kwargs if callable(kwargs) else lambda: PipelineConfig(**kwargs)
     with pytest.raises(ValueError, match=re.escape(message)):
-        PipelineConfig(**kwargs)
+        call()
 
 
 @st.composite

@@ -315,8 +315,8 @@ class TestAgainstLoopReference:
     @pytest.mark.parametrize("bandwidth", [3 / 255, 0.05, 0.2, 0.4])
     def test_merge_at_the_radius(self, bandwidth):
         # points at the merge radius from a mode, in drawn directions, and
-        # one ulp either way on each axis: here the squared distance and
-        # np.hypot can decide apart, and the merge must decide as np.hypot
+        # one ulp either way on each axis: both answers occur, and the
+        # merge decides as its reference does, through the same test
         radius = bandwidth / 2
         rng = np.random.default_rng(11)
         modes = rng.uniform(0.2, 0.8, (400, 2))
@@ -335,7 +335,8 @@ class TestAgainstLoopReference:
         assert 0 < merged < 400 * 9    # both answers occur
 
     def test_merge_with_a_subnormal_radius_squared(self):
-        # 3.1e-162 and 3e-162 both square to 1e-323, two subnormal units
+        # 3.1e-162 and 3e-162 both square to 1e-323, two subnormal units,
+        # so a squared-distance test would merge these two points
         converged = np.array([[0.0, 0.0], [3.1e-162, 0.0]])
         got = merge_modes(converged, 3e-162)
         assert got == loop_merge_modes(converged, 3e-162)
