@@ -50,14 +50,23 @@ T_TRAINER = "tests/test_trainer.py::TestAgainstLoopReference::"
 MUTANTS = [
     # the production stages
     Mutant("median threshold 5 -> 6", "src/signpipe/filters.py",
-           "(padded <= k).view(np.uint8), 1) < 5",
-           "(padded <= k).view(np.uint8), 1) < 6",
+           "(data <= k).view(np.uint8), 1) < 5",
+           "(data <= k).view(np.uint8), 1) < 6",
            (T_FILTERS + "TestMedian::test_median_of_1_to_9",
             T_FILTERS + "TestMedian::test_matches_stream_reference")),
     Mutant("Gaussian rounding +8 -> +7", "src/signpipe/filters.py",
-           "out = (acc + GAUSSIAN_DIVISOR // 2) >> 4",
-           "out = (acc + GAUSSIAN_DIVISOR // 2 - 1) >> 4",
+           "acc += GAUSSIAN_DIVISOR // 2",
+           "acc += GAUSSIAN_DIVISOR // 2 - 1",
            (T_FILTERS + "TestGaussian::test_matches_stream_reference",)),
+    Mutant("window sum drops the top edge row", "src/signpipe/filters.py",
+           "    v[0] += x[0]\n", "",
+           (T_FILTERS + "TestGaussian::test_matches_stream_reference",
+            T_FILTERS + "TestMedian::test_matches_stream_reference")),
+    Mutant("render_labels without widening", "src/signpipe/pipeline.py",
+           "labels.data.astype(np.int32) * 255", "labels.data * 255",
+           (T_PIPELINE
+            + "test_render_labels_reads_class_and_label_images_alike",
+            "tests/test_cli.py::test_detect_reports_one_sign")),
     Mutant("classifier table ties < -> <=", "src/signpipe/mdc.py",
            "where=d < best_d", "where=d <= best_d",
            (T_MDC + "TestClassifyImage::test_exhaustive_against_scalar_classify",)),
@@ -176,6 +185,11 @@ MUTANTS = [
            ("tests/test_trainer.py::TestMeanShift::test_config_validation",)),
     Mutant("filter switches admit ints", "src/signpipe/pipeline.py",
            "self.median, (bool, np.bool_)", "self.median, (bool, np.bool_, int)",
+           (T_PIPELINE
+            + "test_config_refuses_class_indices_outside_the_center_file",)),
+    Mutant("class limit 256 -> 257", "src/signpipe/mdc.py",
+           "if (classes := file.num_classes) > 256:",
+           "if (classes := file.num_classes) > 257:",
            (T_PIPELINE
             + "test_config_refuses_class_indices_outside_the_center_file",)),
     Mutant("center file skips the shape rules", "src/signpipe/mdc.py",

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image import ImageGray
+from .image import ImageClass, ImageGray
 
 
 @dataclass
@@ -49,7 +49,7 @@ class ComponentFeatures:
         return (self.sum_x / self.area, self.sum_y / self.area)
 
 
-def label_components(seg: ImageGray, skip=frozenset()):
+def label_components(seg: ImageClass, skip=frozenset()):
     """Label 4-connected same-class regions, numbered in raster order of
     their first pixel.
 

@@ -13,7 +13,7 @@ production filters to them bit for bit.
 
 import numpy as np
 
-from .image import ImageCbCr, ImageGray, _int_in
+from .image import ImageCbCr, ImageClass, _int_in
 
 # Binomial 3x3 kernel, row-major; divides by 16 with shifts and adds only.
 GAUSSIAN_KERNEL = (1, 2, 1, 2, 4, 2, 1, 2, 1)
@@ -91,32 +91,38 @@ def stream_window(width, height, pixels):
                          f"pixels, got more")
 
 
-def _sum3x3(padded, mid):
-    """Weighted sum over every 3x3 window of an edge-padded array.
-
-    The weights are the outer product of (1, mid, 1) with itself, applied
-    as a vertical then a horizontal pass; the result drops the one-pixel
-    pad, so (H+2, W+2, ...) becomes (H, W, ...).
-    """
-    rows = padded[:-2] + mid * padded[1:-1] + padded[2:]
-    return rows[:, :-2] + mid * rows[:, 1:-1] + rows[:, 2:]
+def _sum3x3(x, mid):
+    """Weighted sum over every 3x3 window of x, edges replicated, in x's
+    dtype, overwriting x. The weights are the outer product of (1, mid, 1)
+    with itself, applied as a vertical then a horizontal pass, each in
+    place: a side of 1 gives its one row or column itself twice."""
+    v = mid * x
+    v[1:] += x[:-1]
+    v[:-1] += x[1:]
+    v[0] += x[0]
+    v[-1] += x[-1]
+    out = np.multiply(v, mid, out=x)
+    out[:, 1:] += v[:, :-1]
+    out[:, :-1] += v[:, 1:]
+    out[:, 0] += v[:, 0]
+    out[:, -1] += v[:, -1]
+    return out
 
 
 def gaussian3x3(img: ImageCbCr) -> ImageCbCr:
     """Smooth both chroma channels with the binomial kernel / 16.
 
     GAUSSIAN_KERNEL is (1, 2, 1) times its transpose, so the 9-tap sum
-    is computed as two 3-tap passes; int16 holds the largest sum, 16*255.
+    is computed as two 3-tap passes; uint16 holds the largest sum, 16*255.
     """
-    padded = np.pad(img.data.astype(np.int16), ((1, 1), (1, 1), (0, 0)),
-                    mode="edge")
-    acc = _sum3x3(padded, 2)
-    out = (acc + GAUSSIAN_DIVISOR // 2) >> 4  # divide by 16, round half-up
-    return ImageCbCr(out.astype(np.uint8))
+    acc = _sum3x3(img.data.astype(np.uint16), 2)
+    acc += GAUSSIAN_DIVISOR // 2  # divide by 16, round half-up
+    acc >>= 4
+    return ImageCbCr(acc.astype(np.uint8))
 
 
-def median3x3(labels: ImageGray) -> ImageGray:
-    """Exact median of each 3x3 window of class indices.
+def median3x3(labels: ImageClass) -> ImageClass:
+    """Exact median of each 3x3 window of class indices, in their type.
 
     The median of nine values is the smallest k with at least five of
     them <= k, so the output starts at the image minimum and rises by one
@@ -126,8 +132,7 @@ def median3x3(labels: ImageGray) -> ImageGray:
     """
     data = labels.data
     lo, hi = int(data.min()), int(data.max())
-    padded = np.pad(data, 1, mode="edge")
-    out = np.full(data.shape, lo, dtype=np.int32)
+    out = np.full(data.shape, lo, dtype=data.dtype)
     for k in range(lo, hi):
-        out += _sum3x3((padded <= k).view(np.uint8), 1) < 5
-    return ImageGray(out)
+        out += _sum3x3((data <= k).view(np.uint8), 1) < 5
+    return type(labels)(out)

@@ -9,8 +9,8 @@ it takes 3 B per sample besides, and hands anything else to the `_TOKEN`
 scan, which alone raises. All pixel data lives in numpy
 arrays, and an image is built from its array alone, whose shape is its
 size: RGB images are (height, width, 3) uint8, chroma images are (height,
-width, 2) uint8 holding (Cb, Cr), and gray images are (height, width)
-int32 so they can hold class indices or component ids beyond 255.
+width, 2) uint8 holding (Cb, Cr), class images are (height, width) uint8
+class indices, and gray images are (height, width) int32 component ids.
 """
 
 import functools
@@ -72,6 +72,10 @@ class ImageRGB(_Image):
 
 class ImageCbCr(_Image):
     dtype, channels = np.dtype(np.uint8), (2,)    # (Cb, Cr)
+
+
+class ImageClass(_Image):
+    dtype, channels = np.dtype(np.uint8), ()      # class indices
 
 
 class ImageGray(_Image):
@@ -250,7 +254,7 @@ def load_pnm(raw: bytes) -> ImageRGB:
 def save_pnm(img: ImageRGB) -> bytes:
     """Encode as binary P6, maxval 255."""
     header = f"P6\n{img.width} {img.height}\n255\n".encode("ascii")
-    return header + img.data.tobytes()
+    return b"".join((header, img.data))
 
 
 # Full-range BT.601 (JPEG/JFIF) chroma coefficients, in millionths: every
@@ -268,9 +272,11 @@ def rgb_to_cbcr(img: ImageRGB) -> ImageCbCr:
     """
     _kind("image", img, ImageRGB, "an ImageRGB")
     r, g, b = (img.data[:, :, i] for i in range(3))
-    index = r * np.int32(511) + 130560
+    index = np.subtract(r, g, dtype=np.int32)  # 511 (r-g) + (b-g) + 130560
+    index *= 511
     index += b
-    index -= g * np.int32(512)
+    index -= g
+    index += 130560
     out = _cbcr_of_differences().take(index, axis=0)
     return ImageCbCr(out)
 

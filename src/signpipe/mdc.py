@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image import ImageCbCr, ImageGray, _finite, _int_in, _kind, _quote
+from .image import ImageCbCr, ImageClass, _finite, _int_in, _kind, _quote
 
 # the shipped 8-bit center file, in class order
 DEFAULT_CENTERS = ((127, 128), (88, 151), (116, 157), (109, 180))
@@ -120,10 +120,10 @@ def classify(file: ClassCenterFile, x):
 
 @functools.lru_cache(maxsize=8)
 def _nearest_center_table(cells):
-    """Read-only (256, 256) int32 table of `classify` at [Cr, Cb] for
+    """Read-only (256, 256) uint8 table of `classify` at [Cr, Cb] for
     every (Cb, Cr), built once per distinct 2-D register contents `cells`."""
     levels = np.arange(256, dtype=np.int64)
-    best = np.zeros((256, 256), dtype=np.int32)
+    best = np.zeros((256, 256), dtype=np.uint8)
     best_d = None
     for j, (cb, cr) in enumerate(zip(cells[0::2], cells[1::2])):
         d = np.abs(levels - cr)[:, None] + np.abs(levels - cb)[None, :]
@@ -137,7 +137,7 @@ def _nearest_center_table(cells):
     return best
 
 
-def classify_image(file: ClassCenterFile, img: ImageCbCr) -> ImageGray:
+def classify_image(file: ClassCenterFile, img: ImageCbCr) -> ImageClass:
     """Per-pixel classification of a chroma image into class indices.
 
     The classifier is tabulated for all 65,536 (Cb, Cr), once per center
@@ -146,12 +146,15 @@ def classify_image(file: ClassCenterFile, img: ImageCbCr) -> ImageGray:
     _chroma_centers(file)
     table = _nearest_center_table(tuple(file.cells)).reshape(-1)
     key = img.data.view("<u2")[:, :, 0]
-    return ImageGray(table.take(key))
+    return ImageClass(table.take(key))
 
 
 def _chroma_centers(file):
-    """Refuse all but a 2-D, 8-bit `ClassCenterFile`, as chroma is."""
+    """Refuse all but a 2-D, 8-bit `ClassCenterFile` of at most 256
+    classes: chroma is two bytes, and a class index one (`ImageClass`)."""
     _kind("centers", file, ClassCenterFile, "a ClassCenterFile")
+    if (classes := file.num_classes) > 256:
+        raise ValueError(f"pipeline needs at most 256 classes, got {classes}")
     if file.dims != 2:
         raise ValueError("pipeline needs 2-dimensional (Cb, Cr) centers")
     if (bits := file.resolution_bits) != 8:

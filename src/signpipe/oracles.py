@@ -32,11 +32,12 @@ import numpy as np
 from . import trainer
 from .ccl import ComponentFeatures
 from .filters import GAUSSIAN_DIVISOR, GAUSSIAN_KERNEL, stream_window
-from .image import _CB_COEF, _CR_COEF, ImageCbCr, ImageGray, ImageRGB
+from .image import (_CB_COEF, _CR_COEF, ImageCbCr, ImageClass, ImageGray,
+                    ImageRGB)
 from .mdc import classify
 
 
-def flood_fill_label(seg: ImageGray, skip=frozenset()):
+def flood_fill_label(seg: ImageClass, skip=frozenset()):
     """Stack-based 4-connected flood fill, scanning in raster order.
 
     Returns (ImageGray of component ids 1..N, list of ComponentFeatures),
@@ -117,21 +118,21 @@ def _median_cell(cells):
     return sorted(cells)[4]
 
 
-def stream_median3x3(labels: ImageGray) -> ImageGray:
+def stream_median3x3(labels: ImageClass) -> ImageClass:
     """The median filter one window at a time off the line buffer,
-    sorting each window."""
+    sorting each window; an image of the type given."""
     out = _stream_filter_plane(labels.data, _median_cell)
-    return ImageGray(out)
+    return type(labels)(out)
 
 
-def scalar_classify_image(centers, chroma: ImageCbCr) -> ImageGray:
+def scalar_classify_image(centers, chroma: ImageCbCr) -> ImageClass:
     """The scalar `mdc.classify` once per distinct 16-bit (Cb << 8) | Cr
     key, the same contract as `mdc.classify_image`."""
     keys, inverse = np.unique((chroma.data[:, :, 0].astype(np.intp) << 8)
                               | chroma.data[:, :, 1], return_inverse=True)
     labels = np.array([classify(centers, divmod(k, 256))
                        for k in keys.tolist()])
-    return ImageGray(labels[inverse].reshape(chroma.height, chroma.width))
+    return ImageClass(labels[inverse].reshape(chroma.height, chroma.width))
 
 
 def loop_converge(samples, config):

@@ -18,8 +18,8 @@ from . import oracles
 from .ccl import label_components
 from .detector import DetectionRule, annotate, detect
 from .filters import gaussian3x3, median3x3
-from .image import (ImageGray, ImageRGB, _finite, _int_in, _kind, _quote,
-                    rgb_to_cbcr)
+from .image import (ImageClass, ImageGray, ImageRGB, _finite, _int_in, _kind,
+                    _quote, rgb_to_cbcr)
 from .mdc import (DEFAULT_CENTERS, DEFAULT_NAMES, ClassCenterFile,
                   _chroma_centers, classify_image, estimate_frame_rate)
 
@@ -93,7 +93,7 @@ class FrameReport:
 
 @dataclass
 class FrameArtifacts:
-    seg: ImageGray          # class indices after the optional median filter
+    seg: ImageClass   # uint8 class indices after the optional median filter
     components_img: ImageGray
     annotated: ImageRGB
 
@@ -156,15 +156,15 @@ _PALETTE = np.array([
 ], dtype=np.uint8)
 
 
-def render_labels(labels: ImageGray, num_levels=None, color=False) -> ImageRGB:
-    """Map label values to evenly spaced gray levels or a fixed palette."""
+def render_labels(labels, num_levels=None, color=False) -> ImageRGB:
+    """Map class or label values to even gray levels or a fixed palette."""
     if num_levels is None:
         num_levels = int(labels.data.max()) + 1
     num_levels = max(num_levels, 2)
     if color:
         rgb = _PALETTE[labels.data % len(_PALETTE)]
     else:
-        gray = (labels.data * 255) // (num_levels - 1)
+        gray = labels.data.astype(np.int32) * 255 // (num_levels - 1)
         gray = np.clip(gray, 0, 255).astype(np.uint8)
         rgb = np.repeat(gray[:, :, None], 3, axis=2)
     return ImageRGB(rgb)

@@ -3,7 +3,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from signpipe.ccl import label_components
-from signpipe.image import ImageGray
+from signpipe.image import ImageClass, ImageGray
 from signpipe.oracles import flood_fill_label
 
 
@@ -19,11 +19,33 @@ def class_images(max_side=12, num_classes=3):
         lambda w: st.integers(1, max_side).flatmap(
             lambda h: st.lists(st.integers(0, num_classes - 1),
                                min_size=w * h, max_size=w * h).map(
-                lambda vals: ImageGray(np.array(vals).reshape(h, w)))))
+                lambda vals: ImageClass(np.array(vals).reshape(h, w)))))
     skips = st.one_of(st.just(frozenset()), st.just(frozenset({0})),
                       st.frozensets(st.integers(0, num_classes - 1),
                                     min_size=1))
     return st.tuples(images, skips)
+
+
+@st.composite
+def meanders(draw, max_side=64):
+    """(image, {0}) pairs of a class-1 path on class 0: horizontal runs
+    from left to right, each one row above or below the last and starting
+    in the column where it ends. The path turns back at each run unless
+    drawn to go on, so two rows of runs take turns and link like the teeth
+    of two combs: a chain the union resolves over several rounds."""
+    h, w = draw(st.integers(2, max_side)), draw(st.integers(1, max_side))
+    a = np.zeros((h, w), dtype=np.uint8)
+    y, x, step = draw(st.integers(0, h - 1)), 0, 1
+    while x < w:
+        n = draw(st.integers(1, 6))
+        a[y, x:x + n + 1] = 1
+        x += n
+        if not draw(st.booleans()):
+            step = -step
+        if not 0 <= y + step < h:
+            step = -step
+        y += step
+    return ImageClass(a), frozenset({0})
 
 
 def serpentine(n):
@@ -107,7 +129,7 @@ class TestCountComponents:
 
 
 class TestFloodFillEquivalence:
-    @given(class_images())
+    @given(st.one_of(class_images(), meanders()))
     @example((gray([[1, 1, 0, 2, 2, 1, 1, 1, 0, 0, 2]]), frozenset({0})))
     @example((gray([[1], [1], [0], [2], [2], [1], [1], [0], [2]]),
               frozenset({0})))
@@ -117,7 +139,7 @@ class TestFloodFillEquivalence:
                     [2, 2, 2, 0, 0, 0, 0]]), frozenset({0})))
     @example((serpentine(21), frozenset({0})))
     @example((spiral(21), frozenset({0})))
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=250, deadline=None)
     def test_matches_oracle(self, case):
         img, skip = case
         got_img, got = label_components(img, skip)

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from signpipe import pipeline
@@ -43,7 +44,15 @@ def test_detect_reports_one_sign(frame_path, tmp_path, capsys):
     assert "detections: 1" in capsys.readouterr().out
     # artifacts decode as valid PPMs of the input size
     assert load_pnm(annotated_path.read_bytes()).width == 200
-    assert load_pnm(seg_path.read_bytes()).height == 200
+    # class i of the 4 is gray level 255 * i // 3, as many pixels as the
+    # report counts; an unwidened uint8 product wrote 84 for class 2
+    seg = load_pnm(seg_path.read_bytes()).data
+    assert seg.shape == (200, 200, 3)
+    assert (seg == seg[:, :, :1]).all()
+    levels, counts = np.unique(seg[:, :, 0], return_counts=True)
+    assert levels.tolist() == [0, 85, 170]
+    assert counts.tolist() == [c["pixels"] for c in report["classes"][:3]]
+    assert report["classes"][3]["pixels"] == 0
 
 
 def test_cli_matches_library_composition(frame_path, tmp_path):
@@ -328,6 +337,8 @@ REPORT_FLAG_REFUSALS = [
      "--color-labels needs --out-seg"),
     (["detect", "{frame}", "--centers", "{tmp}/four_bit.json"],
      "pipeline needs 8-bit centers, got 4-bit"),
+    (["detect", "{frame}", "--centers", "{tmp}/many_classes.json"],
+     "pipeline needs at most 256 classes, got 300"),
     (["detect", "{frame}", "--out-report", "{tmp}/no/such/dir/r.json"],
      "No such file or directory"),
     (["train", "{frame}", "--bandwidth", "0"],
@@ -403,7 +414,8 @@ REPORT_FLAG_REFUSALS = [
         "center_without_name", "missing_center_file", "zero_clock",
         "infinite_clock", "clock_past_float_in_hz", "infinite_clock_ablate",
         "clock_without_report",
-        "color_labels_without_seg", "four_bit_centers", "unwritable_output",
+        "color_labels_without_seg", "four_bit_centers",
+        "many_class_centers", "unwritable_output",
         "zero_bandwidth", "nan_bandwidth", "infinite_bandwidth",
         "huge_bandwidth",
         "single_mode", "names_count", "one_class", "nan_latency_clock",
@@ -442,6 +454,9 @@ def test_bad_input_exits_with_one_line(argv, fragment, frame_path, tmp_path):
     (tmp_path / "four_bit.json").write_text(centers_to_json(
         ClassCenterFile.from_centers([(8, 8), (5, 9), (7, 10)],
                                      resolution_bits=4)))
+    (tmp_path / "many_classes.json").write_text(centers_to_json(
+        ClassCenterFile.from_centers([(j % 256, j // 256)
+                                      for j in range(300)])))
     # three modes at the default bandwidth
     (tmp_path / "three_modes.ppm").write_bytes(
         save_pnm(disc_frame(64, 64, 16, 6, sigma=4)))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from signpipe import filters
 from signpipe.filters import (GAUSSIAN_KERNEL, LineBufferState, gaussian3x3,
                               median3x3, stream_window)
-from signpipe.image import ImageCbCr, ImageGray
+from signpipe.image import ImageCbCr, ImageClass, ImageGray
 from signpipe.oracles import stream_gaussian3x3, stream_median3x3
 
 from refusals import int_refusals
@@ -165,6 +165,16 @@ class TestMedian:
     def test_matches_stream_reference(self, plane):
         labels = ImageGray(plane)
         assert median3x3(labels) == stream_median3x3(labels)
+
+    @given(planes(max_value=255))
+    @settings(max_examples=40)
+    def test_class_image_keeps_its_type(self, plane):
+        # the pipeline's uint8 class image gives the int32 image's values
+        labels = ImageClass(plane)
+        out = median3x3(labels)
+        assert out == stream_median3x3(labels)
+        assert out.data.dtype == np.uint8
+        assert np.array_equal(out.data, median3x3(ImageGray(plane)).data)
 
     @given(planes(max_value=7))
     @settings(max_examples=40)

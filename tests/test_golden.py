@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from signpipe.image import cbcr_to_rgb
+from signpipe.image import ImageClass, cbcr_to_rgb
 from signpipe.pipeline import PipelineConfig, run_pipeline
 from signpipe.synthetic import (BACKGROUND_CHROMA, RED_CHROMA, YELLOW_CHROMA,
                                 add_chroma_noise, background_frame,
@@ -53,12 +53,15 @@ def _digest(arr):
 
 
 def golden_record(name):
+    """The frame's report and artifact digests; the uint8 class image is
+    recorded as int32, the type the goldens were written in."""
     report, art = run_pipeline(PipelineConfig(), FRAMES[name](), name)
+    assert isinstance(art.seg, ImageClass)
+    seg = art.seg.data.astype(np.int32)
     return {
         "report": json.loads(json.dumps(report.to_dict())),
-        "seg": {"dtype": str(art.seg.data.dtype),
-                "shape": list(art.seg.data.shape),
-                "sha256": _digest(art.seg.data)},
+        "seg": {"dtype": str(seg.dtype), "shape": list(seg.shape),
+                "sha256": _digest(seg)},
         "annotated": {"dtype": str(art.annotated.data.dtype),
                       "shape": list(art.annotated.data.shape),
                       "sha256": _digest(art.annotated.data)},

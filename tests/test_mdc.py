@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from signpipe import mdc
-from signpipe.image import ImageCbCr
+from signpipe.image import ImageCbCr, ImageClass
 from signpipe.mdc import (ClassCenterFile, PipelineModel, centers_from_json,
                           centers_to_json, classify, classify_image,
                           estimate_frame_rate, program_center,
@@ -366,6 +366,14 @@ class TestClassifyImage:
         expected = [[classify(f, (x, y)) for y in range(256)]
                     for x in range(256)]
         assert out.data.tolist() == expected
+
+    def test_256_classes_fill_the_class_image(self):
+        # the most classes a pipeline takes: class 255 is not cut to 0
+        centers = [(j % 16 * 16, j // 16 * 16) for j in range(256)]
+        f = ClassCenterFile.from_centers(centers)
+        out = classify_image(f, ImageCbCr(np.array([centers], np.uint8)))
+        assert isinstance(out, ImageClass)
+        assert out.data.tolist() == [list(range(256))]
 
     def test_wrong_dimension_count(self):
         f = ClassCenterFile(3, 2)

@@ -22,11 +22,12 @@ from hypothesis import strategies as st
 from signpipe.ccl import label_components
 from signpipe.detector import DetectionRule, detect
 from signpipe.filters import gaussian3x3, median3x3
-from signpipe.image import ImageRGB, cbcr_to_rgb, rgb_to_cbcr
+from signpipe.image import (ImageClass, ImageGray, ImageRGB, cbcr_to_rgb,
+                            rgb_to_cbcr)
 from signpipe.mdc import (ClassCenterFile, centers_from_json, centers_to_json,
                           classify_image)
 from signpipe.pipeline import (PipelineConfig, ablation_stats, default_centers,
-                               run_pipeline, verify_frame)
+                               render_labels, run_pipeline, verify_frame)
 from signpipe.synthetic import (BACKGROUND_CHROMA, RED_CHROMA, YELLOW_CHROMA,
                                 chroma_constant, disc_frame, paint_disc)
 
@@ -141,6 +142,9 @@ SETTING_ROWS = ([(f"skip_{kind}", {"skip_classes": {v}}, message)
      "target class must be an int in [0, 3], got 4"),
     ({"centers": ClassCenterFile(3, 4)},
      "pipeline needs 2-dimensional (Cb, Cr) centers"),
+    # one past what a uint8 class image holds; class 256 would read as 0
+    ({"centers": ClassCenterFile(2, 257)},
+     "pipeline needs at most 256 classes, got 257"),
     # a fractional class labeled background; True was read as class 1
     ({"skip_classes": {1.5}}, "skip class must be an int in [0, 3], got 1.5"),
     ({"skip_classes": {True}},
@@ -167,10 +171,11 @@ SETTING_ROWS = ([(f"skip_{kind}", {"skip_classes": {v}}, message)
      "image must be an ImageRGB, not ndarray"),
 ] + [row[1:] for row in SETTING_ROWS],
    ids=["skip_past_end", "negative_skip", "target_past_end",
-        "three_dim_centers", "fractional_skip", "bool_skip", "int_skip_set",
-        "unhashable_skip", "int_centers", "int_rule", "str_gaussian",
-        "int_median", "none_gaussian", "none_config_run",
-        "none_config_verify", "none_config_ablation", "chroma_frame_run",
+        "three_dim_centers", "classes_past_256", "fractional_skip",
+        "bool_skip", "int_skip_set", "unhashable_skip", "int_centers",
+        "int_rule", "str_gaussian", "int_median", "none_gaussian",
+        "none_config_run", "none_config_verify", "none_config_ablation",
+        "chroma_frame_run",
         "pixel_array_ablation"]
    + [row[0] for row in SETTING_ROWS])
 def test_config_refuses_class_indices_outside_the_center_file(kwargs, message):
@@ -178,6 +183,19 @@ def test_config_refuses_class_indices_outside_the_center_file(kwargs, message):
     call = kwargs if callable(kwargs) else lambda: PipelineConfig(**kwargs)
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
+
+
+@pytest.mark.parametrize("num_levels, color", [
+    (None, False), (4, False), (256, False), (None, True)])
+def test_render_labels_reads_class_and_label_images_alike(num_levels, color):
+    # a uint8 class image times 255 wraps unless widened first
+    values = np.arange(256).reshape(16, 16)
+    out = render_labels(ImageClass(values), num_levels, color)
+    assert out == render_labels(ImageGray(values), num_levels, color)
+    if not color:
+        levels = num_levels or 256
+        assert out.data[0, 1:4, 0].tolist() == [
+            v * 255 // (levels - 1) for v in (1, 2, 3)]
 
 
 @st.composite
