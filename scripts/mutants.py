@@ -62,6 +62,14 @@ MUTANTS = [
            "    v[0] += x[0]\n", "",
            (T_FILTERS + "TestGaussian::test_matches_stream_reference",
             T_FILTERS + "TestMedian::test_matches_stream_reference")),
+    Mutant("strip halo counts one filter", "src/signpipe/pipeline.py",
+           "config.gaussian + config.median",
+           "max(config.gaussian, config.median)",
+           (T_PIPELINE + "test_strips_equal_the_whole_frame",
+            T_PIPELINE + "test_strips_equal_the_whole_frame_at_the_paper_size")),
+    Mutant("strip keeps its first rows", "src/signpipe/pipeline.py",
+           "value.data[a - lo:a - lo + rows]", "value.data[:rows]",
+           (T_PIPELINE + "test_strips_equal_the_whole_frame",)),
     Mutant("render_labels without widening", "src/signpipe/pipeline.py",
            "labels.data.astype(np.int32) * 255", "labels.data * 255",
            (T_PIPELINE
@@ -223,6 +231,10 @@ MUTANTS = [
             + "test_config_refuses_class_indices_outside_the_center_file",)),
     Mutant("conversion takes any image", "src/signpipe/image.py",
            '    _kind("image", img, ImageRGB, "an ImageRGB")\n', "",
+           (T_PIPELINE
+            + "test_config_refuses_class_indices_outside_the_center_file",)),
+    Mutant("strips take any image", "src/signpipe/pipeline.py",
+           '    _kind("image", rgb, ImageRGB, "an ImageRGB")\n', "",
            (T_PIPELINE
             + "test_config_refuses_class_indices_outside_the_center_file",)),
     Mutant("detect takes any rule", "src/signpipe/detector.py",

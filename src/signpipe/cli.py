@@ -7,6 +7,7 @@ Subcommands:
   ablate   component counts with no filters against the configured ones
   latency  print the classifier latency formula and estimated FPS
   verify   cross-check each stage of a frame against its reference
+  synth    write a synthetic disc test frame
 """
 
 import argparse

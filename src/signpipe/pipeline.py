@@ -4,9 +4,11 @@ Mirrors the hardware chain: chroma conversion, optional Gaussian
 pre-filter, per-pixel classification, optional median post-filter,
 multi-class component labeling, and rule-based detection. `_stages`
 is the one place where the chain order lives; `run_pipeline`,
-`ablation_stats` and `verify_frame` all walk it. The report carries
-the latency and frame-rate figures of the cycle model so a software
-run documents what the streaming design would deliver.
+`ablation_stats` and `verify_frame` all walk it. `_run_stages` keeps
+rows, not frames, as the hardware does: the stages before labeling run
+on strips of rows, and labeling on the whole class image. The report
+carries the latency and frame-rate figures of the cycle model so a
+software run documents what the streaming design would deliver.
 """
 
 import sys
@@ -114,13 +116,29 @@ def _stages(config: PipelineConfig):
     ]
 
 
+# about the pixels a strip holds: its arrays, under 1 MB, stay in a 2 MiB
+# L2 cache; 1 << 15 costs more per strip than it saves, 1 << 18 no less
+_STRIP = 1 << 16
+
+
 def _run_stages(config: PipelineConfig, rgb: ImageRGB):
-    """Run the enabled stages; returns (class image, labeling output)."""
-    seg = value = rgb
-    for _, enabled, production, _ in _stages(config):
-        if enabled:
-            seg, value = value, production(value)
-    return seg, value
+    """Run the enabled stages; returns (class image, labeling output).
+    The stages before labeling run on strips of rows, each read with one
+    halo row above and below per enabled 3x3 filter: a filter spoils only
+    the edge rows of its sub-image, and the frame's own edges replicate
+    as they do in the whole frame."""
+    *pixel, (_, _, label, _) = [s for s in _stages(config) if s[1]]
+    _kind("image", rgb, ImageRGB, "an ImageRGB")
+    rows, halo = max(1, _STRIP // rgb.width), config.gaussian + config.median
+    seg = np.empty(rgb.data.shape[:2], np.uint8)
+    for a in range(0, rgb.height, rows):
+        lo = max(0, a - halo)
+        value = ImageRGB(rgb.data[lo:a + rows + halo])
+        for _, _, production, _ in pixel:
+            value = production(value)
+        seg[a:a + rows] = value.data[a - lo:a - lo + rows]
+    seg = ImageClass(seg)
+    return seg, label(seg)
 
 
 def run_pipeline(config: PipelineConfig, rgb: ImageRGB, image_name=""):

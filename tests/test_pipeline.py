@@ -12,6 +12,7 @@ import builtins
 import io
 import json
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from signpipe import pipeline
 from signpipe.ccl import label_components
 from signpipe.detector import DetectionRule, detect
 from signpipe.filters import gaussian3x3, median3x3
@@ -60,6 +62,15 @@ def test_transposing_the_frame_transposes_every_component(seed, filters):
     assert len(got) >= (2 if filters else 50) and got == expected
 
 
+def whole_frame_stages(config, rgb):
+    """The stages before labeling, each called once on the whole frame."""
+    chroma = rgb_to_cbcr(rgb)
+    if config.gaussian:
+        chroma = gaussian3x3(chroma)
+    seg = classify_image(config.centers, chroma)
+    return median3x3(seg) if config.median else seg
+
+
 @pytest.mark.parametrize("median", [True, False], ids=["median", "no_median"])
 @pytest.mark.parametrize("gaussian", [True, False],
                          ids=["gaussian", "no_gaussian"])
@@ -68,12 +79,7 @@ def test_run_pipeline_matches_the_chain_written_out(seed, gaussian, median):
     # the chain composed by hand, leaving out the filters that are off
     config = PipelineConfig(gaussian=gaussian, median=median)
     rgb = disc_frame(96, 80, 18, 6, sigma=8, seed=seed)
-    chroma = rgb_to_cbcr(rgb)
-    if gaussian:
-        chroma = gaussian3x3(chroma)
-    seg = classify_image(config.centers, chroma)
-    if median:
-        seg = median3x3(seg)
+    seg = whole_frame_stages(config, rgb)
     labels, components = label_components(seg, config.skip_classes)
 
     report, artifacts = run_pipeline(config, rgb)
@@ -167,6 +173,9 @@ SETTING_ROWS = ([(f"skip_{kind}", {"skip_classes": {v}}, message)
      "config must be a PipelineConfig, not NoneType"),
     (lambda: run_pipeline(PipelineConfig(), rgb_to_cbcr(FRAME)),
      "image must be an ImageRGB, not ImageCbCr"),
+    # the conversion's own check: verify_frame calls it on the whole frame
+    (lambda: verify_frame(PipelineConfig(), rgb_to_cbcr(FRAME)),
+     "image must be an ImageRGB, not ImageCbCr"),
     (lambda: ablation_stats(PipelineConfig(), FRAME.data),
      "image must be an ImageRGB, not ndarray"),
 ] + [row[1:] for row in SETTING_ROWS],
@@ -175,7 +184,7 @@ SETTING_ROWS = ([(f"skip_{kind}", {"skip_classes": {v}}, message)
         "bool_skip", "int_skip_set", "unhashable_skip", "int_centers",
         "int_rule", "str_gaussian", "int_median", "none_gaussian",
         "none_config_run", "none_config_verify", "none_config_ablation",
-        "chroma_frame_run",
+        "chroma_frame_run", "chroma_frame_verify",
         "pixel_array_ablation"]
    + [row[0] for row in SETTING_ROWS])
 def test_config_refuses_class_indices_outside_the_center_file(kwargs, message):
@@ -199,18 +208,23 @@ def test_render_labels_reads_class_and_label_images_alike(num_levels, color):
 
 
 @st.composite
+def configs(draw):
+    """A random center file of 2 to 8 classes, each filter on or off."""
+    classes = draw(st.integers(2, 8))
+    cells = draw(st.lists(st.integers(0, 255), min_size=2 * classes,
+                          max_size=2 * classes))
+    return PipelineConfig(
+        centers=ClassCenterFile(2, classes, 8, cells),
+        gaussian=draw(st.booleans()), median=draw(st.booleans()),
+        skip_classes=draw(st.frozensets(st.integers(0, classes - 1))))
+
+
+@st.composite
 def verify_cases(draw):
     w, h = draw(st.integers(1, 12)), draw(st.integers(1, 12))
     pixels = draw(st.binary(min_size=w * h * 3, max_size=w * h * 3))
     rgb = ImageRGB(np.frombuffer(pixels, dtype=np.uint8).reshape(h, w, 3))
-    classes = draw(st.integers(2, 8))
-    cells = draw(st.lists(st.integers(0, 255), min_size=2 * classes,
-                          max_size=2 * classes))
-    config = PipelineConfig(
-        centers=ClassCenterFile(2, classes, 8, cells),
-        gaussian=draw(st.booleans()), median=draw(st.booleans()),
-        skip_classes=draw(st.frozensets(st.integers(0, classes - 1))))
-    return config, rgb
+    return draw(configs()), rgb
 
 
 @given(verify_cases())
@@ -224,6 +238,62 @@ def test_verify_frame_agrees_on_random_small_frames(case):
     assert list(result) == ["conversion", "gaussian", "classify", "median",
                             "labeling"]
     assert all(result.values())
+
+
+@st.composite
+def blocky_frames(draw):
+    """Up to 40x40 random colors in blocks of 1 to 4 pixels a side, so
+    class boundaries fall near and across strip edges."""
+    w, h = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    bx, by = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    gw, gh = -(-w // bx), -(-h // by)
+    pixels = draw(st.binary(min_size=gw * gh * 3, max_size=gw * gh * 3))
+    grid = np.frombuffer(pixels, dtype=np.uint8).reshape(gh, gw, 3)
+    return ImageRGB(grid.repeat(by, axis=0).repeat(bx, axis=1)[:h, :w])
+
+
+@given(configs(), blocky_frames(), st.integers(1, 5))
+# a noisy sign: a halo of one row for both filters changes 9 pixels. The
+# drawn cases find that too, but take about 50 s to shrink it
+@example(PipelineConfig(), disc_frame(40, 40, 8, 4, sigma=16), 2)
+@settings(max_examples=150, deadline=None)
+def test_strips_equal_the_whole_frame(config, rgb, k):
+    # strips of k rows; a halo one row short of what the enabled filters
+    # spoil, or a strip cut from its halo rows, shows at the strip edges
+    expected = whole_frame_stages(config, rgb)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "_STRIP", rgb.width * k)
+        seg, (labels, components) = pipeline._run_stages(config, rgb)
+    assert seg == expected
+    assert (labels, components) == label_components(expected,
+                                                    config.skip_classes)
+
+
+@pytest.mark.parametrize("median", [True, False], ids=["median", "no_median"])
+@pytest.mark.parametrize("gaussian", [True, False],
+                         ids=["gaussian", "no_gaussian"])
+def test_strips_equal_the_whole_frame_at_the_paper_size(gaussian, median):
+    # 10 strips of 65 rows at the real strip size; the sign spans rows
+    # 165-465, across five strip edges. At this noise a halo of one row
+    # for both filters changes 13 pixels
+    config = PipelineConfig(gaussian=gaussian, median=median)
+    rgb = disc_frame(1000, 630, 120, 30, sigma=16)
+    seg = pipeline._run_stages(config, rgb)[0]
+    assert seg == whole_frame_stages(config, rgb)
+
+
+def test_strips_bound_the_memory_of_a_frame():
+    # whole-frame stages took 5.6 MB beyond the 3.2 MB they return on
+    # this frame, strips 1.6 MB
+    config, rgb = PipelineConfig(), disc_frame(1000, 630, 120, 30, sigma=16)
+    pipeline._run_stages(config, rgb)  # build the cached tables first
+    tracemalloc.start()
+    try:
+        out = pipeline._run_stages(config, rgb)  # held: `kept` counts it
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(out[1][1]) > 1 and peak - kept <= 2_000_000
 
 
 def test_default_centers_are_the_file_the_package_once_shipped():
