@@ -43,6 +43,7 @@ T_FILTERS = "tests/test_filters.py::"
 T_MDC = "tests/test_mdc.py::"
 T_IMAGE = "tests/test_image.py::"
 T_CCL = "tests/test_ccl.py::TestFloodFillEquivalence::"
+T_LINKS = "tests/test_ccl.py::TestRunLinks::"
 T_DETECT = "tests/test_detector.py::TestDetect::"
 T_PIPELINE = "tests/test_pipeline.py::"
 T_TRAINER = "tests/test_trainer.py::TestAgainstLoopReference::"
@@ -81,9 +82,20 @@ MUTANTS = [
     Mutant("chroma rounding constant - 1", "src/signpipe/image.py",
            "kb * d + 128_500_000", "kb * d + 128_499_999",
            (T_IMAGE + "TestRgbToCbcr::test_exhaustive_against_float_formula",)),
-    Mutant("labeler link dedup dropped", "src/signpipe/ccl.py",
-           "    first |= is_start[link]\n", "",
-           (T_CCL + "test_matches_oracle",)),
+    Mutant("window sum keeps the row wrap", "src/signpipe/filters.py",
+           "    out[1:, 0] -= v[:-1, -1]\n", "",
+           (T_FILTERS + "test_window_sum_matches_the_padded_sum",
+            T_FILTERS + "TestGaussian::test_matches_stream_reference")),
+    Mutant("conversion pairs at byte offset 1", "src/signpipe/image.py",
+           '"<u2", data, 0, (3 * w, 3))', '"<u2", data, 1, (3 * w, 3))',
+           (T_IMAGE + "TestRgbToCbcr::test_known_pixels",
+            T_IMAGE + "TestRgbToCbcr::test_exhaustive_against_float_formula")),
+    Mutant("labeler upper runs one short", "src/signpipe/ccl.py",
+           "counts = up1 - up0", "counts = up1 - 1 - up0",
+           (T_LINKS + "test_matches_flood_fill", T_CCL + "test_matches_oracle")),
+    Mutant("labeler links runs of any class", "src/signpipe/ccl.py",
+           "    upper, lower = upper[same], lower[same]\n", "",
+           (T_LINKS + "test_matches_flood_fill", T_CCL + "test_matches_oracle")),
     # a run left one jump short of its root keeps a provisional id
     Mutant("labeler one pointer jump per round", "src/signpipe/ccl.py",
            "            jumped = root[root]\n"
@@ -94,7 +106,7 @@ MUTANTS = [
            "            break\n",
            (T_CCL + "test_matches_oracle",)),
     Mutant("label ids from 0", "src/signpipe/ccl.py",
-           "range(1, firsts.size + 1), flat", "range(firsts.size), flat",
+           "range(1, firsts.size + 1), cls", "range(firsts.size), cls",
            (T_CCL + "test_components_are_single_class",
             T_CCL + "test_matches_oracle")),
     Mutant("detect returns copies", "src/signpipe/detector.py",
@@ -231,6 +243,11 @@ MUTANTS = [
             + "test_config_refuses_class_indices_outside_the_center_file",)),
     Mutant("conversion takes any image", "src/signpipe/image.py",
            '    _kind("image", img, ImageRGB, "an ImageRGB")\n', "",
+           (T_PIPELINE
+            + "test_config_refuses_class_indices_outside_the_center_file",)),
+    Mutant("median takes any image", "src/signpipe/filters.py",
+           '    _kind("image", labels, (ImageClass, ImageGray),\n'
+           '          "an ImageClass or ImageGray")\n', "",
            (T_PIPELINE
             + "test_config_refuses_class_indices_outside_the_center_file",)),
     Mutant("strips take any image", "src/signpipe/pipeline.py",

@@ -3,21 +3,23 @@
 This is the run-based two-scan labeling of He, Chao & Suzuki (IEEE TIP
 2008). A run is a maximal stretch of one class within one row. Two runs
 of the same (not skipped) class belong together when they overlap
-between adjacent rows; those links are resolved by a whole-array union
-over runs (hook every root to its smallest linked root, then jump
-pointers until each run points at its root), so a component's root is
-its first run in raster order. Area, bounding box and centroid sums are
-accumulated per run: a run of length n at row y covering x0..x1 adds n
-to the area, y*n to sum_y and (x0+x1)*n/2 to sum_x. Each component
-record carries its `id`, its value in the label image: 1..N in raster
-order of its first pixel. A detection is one of these records.
+between adjacent rows: each kept run below row 0 finds the runs over its
+pixels by two binary searches on the run starts and links those of its
+class. The links are resolved by a whole-array union over runs (hook
+every root to its smallest linked root, then jump pointers until each
+run points at its root), so a component's root is its first run in
+raster order. Area, bounding box and centroid sums are accumulated per
+run: a run of length n at row y covering x0..x1 adds n to the area, y*n
+to sum_y and (x0+x1)*n/2 to sum_x. Each component record carries its
+`id`, its value in the label image: 1..N in raster order of its first
+pixel. A detection is one of these records.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .image import ImageClass, ImageGray
+from .image import ImageClass, ImageGray, _kind
 
 
 @dataclass
@@ -57,11 +59,9 @@ def label_components(seg: ImageClass, skip=frozenset()):
     features. Returns (ImageGray of component ids 1..N, list of
     ComponentFeatures in id order).
     """
+    _kind("image", seg, (ImageClass, ImageGray), "an ImageClass or ImageGray")
     h, w = seg.height, seg.width
     flat = seg.data.reshape(-1)
-    kept = np.ones(flat.size, dtype=bool)
-    for c in skip:
-        kept &= flat != c
 
     # a run starts where the class changes or a row begins
     is_start = np.empty(flat.size, dtype=bool)
@@ -71,19 +71,22 @@ def label_components(seg: ImageClass, skip=frozenset()):
     starts = np.flatnonzero(is_start)
     lengths = np.diff(starts, append=flat.size)
     run_y, run_x0 = np.divmod(starts, w)
-    run_keep = kept[starts]
+    cls = flat[starts]
+    run_keep = np.ones(starts.size, dtype=bool)
+    for c in skip:
+        run_keep &= cls != c
 
-    # a kept pixel with the same class above it links the two pixels'
-    # runs. Two runs overlap in one unbroken stretch of links, and within
-    # a stretch the lower run can change only where the upper one does,
-    # so keep the first link of each stretch and of each upper run
-    link = np.flatnonzero((flat[w:] == flat[:-w]) & kept[w:])
-    first = np.ones(link.size, dtype=bool)
-    first[1:] = np.diff(link) != 1
-    first |= is_start[link]
-    link = link[first]
-    upper = np.searchsorted(starts, link, "right") - 1
-    lower = np.searchsorted(starts, link + w, "right") - 1
+    # a kept run below row 0 links the upper runs of its class that cover
+    # pixels start - w to start + length - 1 - w: runs up0 to up1 - 1
+    low = np.flatnonzero(run_keep & (starts >= w))
+    up0 = np.searchsorted(starts, starts[low] - w, "right") - 1
+    up1 = np.searchsorted(starts, starts[low] + lengths[low] - w)
+    counts = up1 - up0
+    lower = np.repeat(low, counts)
+    upper = np.arange(lower.size) + np.repeat(up0 - np.cumsum(counts) + counts,
+                                              counts)
+    same = cls[upper] == cls[lower]
+    upper, lower = upper[same], lower[same]
 
     # union over runs: hook each root to its smallest linked root, then
     # pointer-jump to the roots; a component's root is its first run
@@ -123,7 +126,7 @@ def label_components(seg: ImageClass, skip=frozenset()):
     np.maximum.at(max_x, k, x1)
     np.maximum.at(max_y, k, y)
     feats = [ComponentFeatures(*f) for f in zip(
-        range(1, firsts.size + 1), flat[starts[firsts]].tolist(),
+        range(1, firsts.size + 1), cls[firsts].tolist(),
         area.tolist(), min_x.tolist(), run_y[firsts].tolist(),
         max_x.tolist(), max_y.tolist(), sum_x.tolist(), sum_y.tolist())]
     return labels, feats

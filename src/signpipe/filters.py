@@ -13,7 +13,7 @@ production filters to them bit for bit.
 
 import numpy as np
 
-from .image import ImageCbCr, ImageClass, _int_in
+from .image import ImageCbCr, ImageClass, ImageGray, _int_in, _kind
 
 # Binomial 3x3 kernel, row-major; divides by 16 with shifts and adds only.
 GAUSSIAN_KERNEL = (1, 2, 1, 2, 4, 2, 1, 2, 1)
@@ -92,18 +92,25 @@ def stream_window(width, height, pixels):
 
 
 def _sum3x3(x, mid):
-    """Weighted sum over every 3x3 window of x, edges replicated, in x's
-    dtype, overwriting x. The weights are the outer product of (1, mid, 1)
-    with itself, applied as a vertical then a horizontal pass, each in
-    place: a side of 1 gives its one row or column itself twice."""
+    """Weighted sum over every 3x3 window of x, a C-contiguous (H, W) or
+    (H, W, c) array, edges replicated, in x's dtype, overwriting x. The
+    weights are the outer product of (1, mid, 1) with itself, applied as
+    a vertical pass, then a horizontal one that shifts the flat array by
+    one pixel (c elements) each way; four column fix-ups take back what
+    wrapped across the row ends and replicate the edges, so a side of 1
+    gives itself twice. Wrapping unsigned arithmetic is exact, as every
+    true sum fits the dtype (16 * 255 in uint16, 9 in uint8)."""
     v = mid * x
     v[1:] += x[:-1]
     v[:-1] += x[1:]
     v[0] += x[0]
     v[-1] += x[-1]
     out = np.multiply(v, mid, out=x)
-    out[:, 1:] += v[:, :-1]
-    out[:, :-1] += v[:, 1:]
+    c, fo, fv = v[0, 0].size, out.reshape(-1), v.reshape(-1)
+    fo[c:] += fv[:-c]
+    fo[:-c] += fv[c:]
+    out[1:, 0] -= v[:-1, -1]
+    out[:-1, -1] -= v[1:, 0]
     out[:, 0] += v[:, 0]
     out[:, -1] += v[:, -1]
     return out
@@ -115,6 +122,7 @@ def gaussian3x3(img: ImageCbCr) -> ImageCbCr:
     GAUSSIAN_KERNEL is (1, 2, 1) times its transpose, so the 9-tap sum
     is computed as two 3-tap passes; uint16 holds the largest sum, 16*255.
     """
+    _kind("image", img, ImageCbCr, "an ImageCbCr")
     acc = _sum3x3(img.data.astype(np.uint16), 2)
     acc += GAUSSIAN_DIVISOR // 2  # divide by 16, round half-up
     acc >>= 4
@@ -130,6 +138,8 @@ def median3x3(labels: ImageClass) -> ImageClass:
     One pass per level between the minimum and the maximum: cheap for
     class indices, slow for planes spanning a wide range of values.
     """
+    _kind("image", labels, (ImageClass, ImageGray),
+          "an ImageClass or ImageGray")
     data = labels.data
     lo, hi = int(data.min()), int(data.max())
     out = np.full(data.shape, lo, dtype=data.dtype)

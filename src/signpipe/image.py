@@ -268,17 +268,27 @@ def rgb_to_cbcr(img: ImageRGB) -> ImageCbCr:
     """Convert to the two chroma channels, discarding luma.
 
     Rounds half-up and clamps to [0, 255]; any achromatic pixel (r=g=b)
-    maps exactly to (128, 128). Each pixel is a row of `_cbcr_of_differences`.
+    maps exactly to (128, 128). Each pixel is the `_cbcr_of_differences`
+    row at `_index_of_pairs` of its (r, g) bytes, read as one
+    little-endian 16-bit key (a `<u2` view at a 3-byte stride), plus b.
     """
     _kind("image", img, ImageRGB, "an ImageRGB")
-    r, g, b = (img.data[:, :, i] for i in range(3))
-    index = np.subtract(r, g, dtype=np.int32)  # 511 (r-g) + (b-g) + 130560
-    index *= 511
-    index += b
-    index -= g
-    index += 130560
+    data, h, w = img.data, img.height, img.width
+    pairs = np.ndarray((h, w), "<u2", data, 0, (3 * w, 3))
+    index = _index_of_pairs().take(pairs)
+    index += data[:, :, 2]
     out = _cbcr_of_differences().take(index, axis=0)
     return ImageCbCr(out)
+
+
+@functools.cache
+def _index_of_pairs():
+    """Read-only intp 511 r - 512 g + 130560 at r + 256 g, the pair
+    (r, g) as one little-endian 16-bit key; intp spares `take` a cast."""
+    r, g = np.arange(256) * 511, np.arange(256) * 512
+    out = (r[None, :] - g[:, None] + 130560).reshape(-1).astype(np.intp)
+    out.flags.writeable = False
+    return out
 
 
 @functools.cache

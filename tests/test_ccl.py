@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -113,6 +114,33 @@ class TestLabelComponents:
         assert labels.data[0, 0] == 1
         assert labels.data[0, 2] == 2
         assert [c.class_index for c in feats] == [1, 2]
+
+
+class TestRunLinks:
+    @pytest.mark.parametrize("rows, skip, count", [
+        # one lower run under three upper runs of its class
+        ([[1, 0, 1, 0, 1], [1, 1, 1, 1, 1]], {0}, 1),
+        ([[1, 0, 1, 0, 1], [1, 1, 1, 1, 1]], set(), 3),
+        # the mirror: one upper run over three lower runs
+        ([[1, 1, 1, 1, 1], [1, 0, 1, 0, 1]], {0}, 1),
+        ([[1, 1, 1, 1, 1], [1, 0, 1, 0, 1]], set(), 3),
+        # the lower run's ends sit under runs of another class
+        ([[2, 1, 1, 1, 2], [1, 1, 1, 1, 1]], set(), 3),
+        ([[2, 2, 0, 2, 2], [1, 1, 1, 1, 1]], {0}, 3),
+        ([[1, 2, 2, 2, 1], [1, 1, 1, 1, 1]], set(), 2),
+        # one row, one column
+        ([[1, 1, 0, 2, 2, 1]], set(), 4),
+        ([[1], [1], [0], [2], [2], [1]], {0}, 3),
+    ], ids=["comb", "comb_no_skip", "mirror", "mirror_no_skip",
+            "ends_under_another_class", "ends_under_another_class_skip",
+            "ends_under_the_same_class", "one_row", "one_column"])
+    def test_matches_flood_fill(self, rows, skip, count):
+        img = ImageClass(np.array(rows))
+        got_img, got = label_components(img, skip)
+        exp_img, exp = flood_fill_label(img, skip)
+        assert np.array_equal(got_img.data, exp_img.data)
+        assert got == exp
+        assert len(got) == count
 
 
 class TestCountComponents:

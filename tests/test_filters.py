@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from signpipe import filters
@@ -141,6 +141,45 @@ class TestGaussian:
             for x in range(w):
                 cells = gather_window(plane, x, y)
                 assert min(cells) <= out[y, x] <= max(cells)
+
+
+def padded_sum3x3(x, mid):
+    """The (1, mid, 1) x (1, mid, 1) weighted sum of every 3x3 window of
+    x over an edge-replicated copy, in int64."""
+    h, w = x.shape[:2]
+    p = np.pad(x.astype(np.int64), [(1, 1), (1, 1)] + [(0, 0)] * (x.ndim - 2),
+               mode="edge")
+    k = (1, mid, 1)
+    return sum(k[i] * k[j] * p[i:i + h, j:j + w]
+               for i in range(3) for j in range(3))
+
+
+@st.composite
+def window_sum_inputs(draw):
+    """(array, mid) as the two filters pass them to `_sum3x3`: a uint8
+    (H, W) 0/1 mask with mid 1, or a uint16 (H, W, 2) chroma image with
+    Cb unlike Cr and mid 2; sides 1 to 6."""
+    h, w = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        bits = draw(st.lists(st.integers(0, 1), min_size=h * w,
+                             max_size=h * w))
+        return np.array(bits, np.uint8).reshape(h, w), 1
+    values = st.one_of(st.integers(0, 255), st.sampled_from([0, 255]))
+    cbcr = draw(st.lists(values, min_size=2 * h * w, max_size=2 * h * w))
+    x = np.array(cbcr, np.uint16).reshape(h, w, 2)
+    assume(not np.array_equal(x[:, :, 0], x[:, :, 1]))
+    return x, 2
+
+
+@given(window_sum_inputs())
+@settings(max_examples=150)
+def test_window_sum_matches_the_padded_sum(case):
+    # the flat shift wraps each row's ends into the next row and back
+    x, mid = case
+    expected = padded_sum3x3(x, mid)
+    out = filters._sum3x3(x.copy(), mid)
+    assert out.dtype == x.dtype
+    assert np.array_equal(out, expected)
 
 
 class TestMedian:

@@ -407,6 +407,8 @@ class TestRgbToCbcr:
         table = image._cbcr_of_differences()
         with pytest.raises(ValueError):
             table[0, 0] = 1
+        with pytest.raises(ValueError):
+            image._index_of_pairs()[0] = 1
 
     def test_exhaustive_against_float_formula(self):
         # every 2^24 RGB input, 16 red levels at a time, against the

@@ -178,6 +178,17 @@ SETTING_ROWS = ([(f"skip_{kind}", {"skip_classes": {v}}, message)
      "image must be an ImageRGB, not ImageCbCr"),
     (lambda: ablation_stats(PipelineConfig(), FRAME.data),
      "image must be an ImageRGB, not ndarray"),
+    # the stages' own checks: a chroma median was taken over the
+    # interleaved channels, and an array was an AttributeError
+    (lambda: gaussian3x3(FRAME), "image must be an ImageCbCr, not ImageRGB"),
+    (lambda: gaussian3x3(rgb_to_cbcr(FRAME).data),
+     "image must be an ImageCbCr, not ndarray"),
+    (lambda: median3x3(rgb_to_cbcr(FRAME)),
+     "image must be an ImageClass or ImageGray, not ImageCbCr"),
+    (lambda: median3x3(np.zeros((2, 3), np.uint8)),
+     "image must be an ImageClass or ImageGray, not ndarray"),
+    (lambda: label_components(np.zeros((2, 3), np.uint8)),
+     "image must be an ImageClass or ImageGray, not ndarray"),
 ] + [row[1:] for row in SETTING_ROWS],
    ids=["skip_past_end", "negative_skip", "target_past_end",
         "three_dim_centers", "classes_past_256", "fractional_skip",
@@ -185,7 +196,8 @@ SETTING_ROWS = ([(f"skip_{kind}", {"skip_classes": {v}}, message)
         "int_rule", "str_gaussian", "int_median", "none_gaussian",
         "none_config_run", "none_config_verify", "none_config_ablation",
         "chroma_frame_run", "chroma_frame_verify",
-        "pixel_array_ablation"]
+        "pixel_array_ablation", "rgb_gaussian", "array_gaussian",
+        "chroma_median", "array_median", "array_labeling"]
    + [row[0] for row in SETTING_ROWS])
 def test_config_refuses_class_indices_outside_the_center_file(kwargs, message):
     # the shipped center file has 4 classes; a row that is a call runs as is
@@ -284,7 +296,7 @@ def test_strips_equal_the_whole_frame_at_the_paper_size(gaussian, median):
 
 def test_strips_bound_the_memory_of_a_frame():
     # whole-frame stages took 5.6 MB beyond the 3.2 MB they return on
-    # this frame, strips 1.6 MB
+    # this frame, strips 0.9 MB
     config, rgb = PipelineConfig(), disc_frame(1000, 630, 120, 30, sigma=16)
     pipeline._run_stages(config, rgb)  # build the cached tables first
     tracemalloc.start()
