@@ -257,6 +257,10 @@ MUTANTS = [
     Mutant("detect takes any rule", "src/signpipe/detector.py",
            '    _kind("rule", rule, DetectionRule, "a DetectionRule")\n', "",
            (T_DETECT + "test_rule_invariants",)),
+    Mutant("detect admits a skipped target", "src/signpipe/cli.py",
+           "if (target := config.rule.target_class) in config.skip_classes:",
+           "if False:",
+           ("tests/test_cli.py::test_bad_input_exits_with_one_line",)),
     Mutant("clock admitted past the float range in Hz",
            "src/signpipe/pipeline.py",
            "if mhz * 1e6 > sys.float_info.max:", "if False:",

@@ -7,8 +7,8 @@ from .image import (ImageCbCr, ImageClass, ImageGray, ImageRGB, PnmError,
                     cbcr_to_rgb, load_pnm, rgb_to_cbcr, save_pnm)
 from .mdc import (ClassCenterFile, PipelineModel, classify, classify_image,
                   estimate_frame_rate, program_center, simulate_pipeline)
-from .pipeline import (FrameReport, PipelineConfig, ablation_stats,
-                       default_centers, run_pipeline, verify_frame)
+from .pipeline import (FrameReport, PipelineConfig, default_centers,
+                       run_pipeline, verify_frame)
 from .trainer import ClusterResult, MeanShiftConfig, centers_to_file, mean_shift
 
 __version__ = "0.1.0"

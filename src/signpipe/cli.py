@@ -4,7 +4,6 @@ Subcommands:
   detect   run the full chain; print class counts, components and
            detections, and write the label image, annotated frame or report
   train    mean-shift a frame's chroma samples into a center file
-  ablate   component counts with no filters against the configured ones
   latency  print the classifier latency formula and estimated FPS
   verify   cross-check each stage of a frame against its reference
   synth    write a synthetic disc test frame
@@ -19,8 +18,8 @@ from .detector import DetectionRule
 from .image import _quote, load_pnm, rgb_to_cbcr, save_pnm
 from .mdc import (ClassCenterFile, PipelineModel, centers_from_json,
                   centers_to_json, estimate_frame_rate)
-from .pipeline import (DEFAULT_CLOCK_MHZ, PipelineConfig, ablation_stats,
-                       render_labels, run_pipeline, verify_frame)
+from .pipeline import (DEFAULT_CLOCK_MHZ, PipelineConfig, render_labels,
+                       run_pipeline, verify_frame)
 from .synthetic import disc_frame
 from .trainer import MeanShiftConfig, mean_shift
 
@@ -89,6 +88,9 @@ def cmd_detect(args):
     for flag, output in _NEEDS.items():
         if getattr(args, flag) is not None and not getattr(args, output):
             raise ValueError(f"--{flag} needs --{output}".replace("_", "-"))
+    if (target := config.rule.target_class) in config.skip_classes:
+        raise ValueError(f"target class {target} is skipped, so detect can "
+                         "find nothing")
     report, artifacts = run_pipeline(config, _load_frame(args.image), args.image)
     if args.out_seg:
         Path(args.out_seg).write_bytes(save_pnm(render_labels(
@@ -120,15 +122,6 @@ def cmd_train(args):
         sys.stdout.write(text)
     for mode, sup in zip(result.modes, result.support):
         print(f"mode {mode} support {sup}", file=sys.stderr)
-    return 0
-
-
-def cmd_ablate(args):
-    config = _config_from(args)
-    without, with_, reduction = ablation_stats(config, _load_frame(args.image))
-    print(f"components without filters: {without}")
-    print(f"components with filters:    {with_}")
-    print(f"reduction: {reduction:.1f}%")
     return 0
 
 
@@ -176,11 +169,9 @@ def main(argv=None):
                    help="render labels with a color palette instead of grays")
     p.set_defaults(fn=cmd_detect)
 
-    for name, fn, doc in [("ablate", cmd_ablate, "filter ablation counts"),
-                          ("verify", cmd_verify, "oracle cross-check")]:
-        p = sub.add_parser(name, help=doc)
-        _add_config_args(p)
-        p.set_defaults(fn=fn)
+    p = sub.add_parser("verify", help="oracle cross-check")
+    _add_config_args(p)
+    p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("train", help="mean-shift class centers from a frame")
     p.add_argument("image")

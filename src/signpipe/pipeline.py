@@ -3,16 +3,16 @@
 Mirrors the hardware chain: chroma conversion, optional Gaussian
 pre-filter, per-pixel classification, optional median post-filter,
 multi-class component labeling, and rule-based detection. `_stages`
-is the one place where the chain order lives; `run_pipeline`,
-`ablation_stats` and `verify_frame` all walk it. `_run_stages` keeps
-rows, not frames, as the hardware does: the stages before labeling run
-on strips of rows, and labeling on the whole class image. The report
-carries the latency and frame-rate figures of the cycle model so a
-software run documents what the streaming design would deliver.
+is the one place where the chain order lives; `run_pipeline` and
+`verify_frame` both walk it. `_run_stages` keeps rows, not frames, as
+the hardware does: the stages before labeling run on strips of rows,
+and labeling on the whole class image. The report carries the latency
+and frame-rate figures of the cycle model so a software run documents
+what the streaming design would deliver.
 """
 
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -155,18 +155,6 @@ def run_pipeline(config: PipelineConfig, rgb: ImageRGB, image_name=""):
     return report, FrameArtifacts(seg, components_img, annotated)
 
 
-def ablation_stats(config: PipelineConfig, rgb: ImageRGB):
-    """Component counts with both filters off versus `config`'s filters.
-
-    Returns (count_without, count_with, reduction_percent).
-    """
-    with_ = len(_run_stages(config, rgb)[1][1])    # checks the arguments
-    base = replace(config, gaussian=False, median=False)
-    without = len(_run_stages(base, rgb)[1][1])
-    reduction = 100.0 * (without - with_) / without if without else 0.0
-    return without, with_, reduction
-
-
 # fixed palette for --color-labels rendering; cycles past 8 entries
 _PALETTE = np.array([
     (0, 0, 0), (255, 214, 0), (220, 40, 40), (160, 40, 200),
@@ -174,10 +162,8 @@ _PALETTE = np.array([
 ], dtype=np.uint8)
 
 
-def render_labels(labels, num_levels=None, color=False) -> ImageRGB:
+def render_labels(labels, num_levels, color=False) -> ImageRGB:
     """Map class or label values to even gray levels or a fixed palette."""
-    if num_levels is None:
-        num_levels = int(labels.data.max()) + 1
     num_levels = max(num_levels, 2)
     if color:
         rgb = _PALETTE[labels.data % len(_PALETTE)]

@@ -67,7 +67,3 @@ def disc_frame(width=200, height=200, radius=30, ring=10,
     if sigma > 0:
         frame = add_chroma_noise(frame, sigma, seed)
     return cbcr_to_rgb(frame)
-
-
-def background_frame(width=200, height=200) -> ImageRGB:
-    return cbcr_to_rgb(chroma_constant(width, height, BACKGROUND_CHROMA))

@@ -14,8 +14,10 @@ from signpipe.detector import annotate
 from signpipe.image import load_pnm, rgb_to_cbcr, save_pnm
 from signpipe.mdc import ClassCenterFile, centers_to_json
 from signpipe.pipeline import PipelineConfig, run_pipeline
-from signpipe.synthetic import background_frame, disc_frame
+from signpipe.synthetic import disc_frame
 from signpipe.trainer import MeanShiftConfig, centers_to_file, mean_shift
+
+from frames import background_frame
 
 
 @pytest.fixture
@@ -105,32 +107,21 @@ def test_filters_off_on_clean_frame_same_detections(frame_path, tmp_path):
     assert max(abs(a - b) for a, b in zip(d1[0]["bbox"], d2[0]["bbox"])) <= 1
 
 
-def test_ablate_noisy_frame(tmp_path, capsys):
-    path = tmp_path / "noisy.ppm"
-    path.write_bytes(save_pnm(disc_frame(sigma=6.0, seed=42)))
-    assert main(["ablate", str(path)]) == 0
-    out = capsys.readouterr().out
-    assert "reduction:" in out
+NOISY_DISC = disc_frame(sigma=6.0, seed=42)
 
 
-def test_ablate_background_is_zero(tmp_path, capsys):
-    path = tmp_path / "bg.ppm"
-    path.write_bytes(save_pnm(background_frame(64, 64)))
-    main(["ablate", str(path)])
-    assert "reduction: 0.0%" in capsys.readouterr().out
-
-
-def test_ablate_uses_filter_toggles(tmp_path, capsys):
-    path = tmp_path / "noisy.ppm"
-    path.write_bytes(save_pnm(disc_frame(sigma=6.0, seed=42)))
-
-    def ablate(*flags):
-        assert main(["ablate", str(path), *flags]) == 0
-        return capsys.readouterr().out
-
-    assert "components with filters:    2\n" in ablate()
-    assert "components with filters:    5\n" in ablate("--no-gaussian")
-    assert "reduction: 0.0%" in ablate("--no-gaussian", "--no-median")
+@pytest.mark.parametrize("frame, flags, count", [
+    (NOISY_DISC, [], 2),
+    (NOISY_DISC, ["--no-gaussian"], 5),
+    (NOISY_DISC, ["--no-gaussian", "--no-median"], 291),
+    (background_frame(64, 64), [], 0),
+], ids=["filters", "median_only", "no_filters", "background"])
+def test_detect_counts_components_with_the_filter_toggles(
+        frame, flags, count, tmp_path, capsys):
+    path = tmp_path / "frame.ppm"
+    path.write_bytes(save_pnm(frame))
+    assert main(["detect", str(path), *flags]) == 0
+    assert f"\ncomponents: {count}\n" in capsys.readouterr().out
 
 
 def test_latency_subcommand(capsys):
@@ -291,8 +282,8 @@ def test_missing_file_exits(tmp_path):
 # the rule flags and --clock-mhz: read only by the report, the annotated
 # frame and the printed detections, so only detect takes them
 REPORT_FLAG_REFUSALS = [
-    ([sub, "{frame}", flag, value], f"unrecognized arguments: {flag} {value}")
-    for sub in ("ablate", "verify")
+    (["verify", "{frame}", flag, value],
+     f"unrecognized arguments: {flag} {value}")
     for flag, value in [("--area-min", "999999"), ("--ratio-min", "5"),
                         ("--ratio-max", "6"), ("--target-class", "2"),
                         ("--clock-mhz", "0.001")]]
@@ -313,6 +304,11 @@ REPORT_FLAG_REFUSALS = [
      "target class must be an int in [0, 3], got 9"),
     (["detect", "{frame}", "--skip-class", "9", "--target-class", "9"],
      "skip class must be an int in [0, 3], got 9"),
+    # the default target, class 1, and one given, each skipped
+    (["detect", "{frame}", "--skip-class", "1"],
+     "target class 1 is skipped, so detect can find nothing"),
+    (["detect", "{frame}", "--skip-class", "2", "--target-class", "2"],
+     "target class 2 is skipped, so detect can find nothing"),
     (["detect", "{frame}", "--target-class", "-1"],
      "target_class must be an int >= 0, got -1"),
     (["detect", "{frame}", "--centers", "{no_name}"],
@@ -329,8 +325,6 @@ REPORT_FLAG_REFUSALS = [
       "--out-report", "{tmp}/r.json"],
      "clock_mhz must be finite and > 0, got 1e+303; in Hz it must be "
      "finite too"),
-    (["ablate", "{frame}", "--clock-mhz", "inf"],
-     "unrecognized arguments: --clock-mhz"),
     (["detect", "{frame}", "--clock-mhz", "200", "--out-seg", "{tmp}/s.ppm"],
      "--clock-mhz needs --out-report"),
     (["detect", "{frame}", "--color-labels", "--out-report", "{tmp}/r.json"],
@@ -366,13 +360,12 @@ REPORT_FLAG_REFUSALS = [
      "width must be an int in [1, 4096], got 0"),
     (["verify", "{frame}", "--out-report", "{tmp}/r.json"],
      "unrecognized arguments: --out-report"),
-    (["ablate", "{frame}", "--out-seg", "{tmp}/s.ppm"],
-     "unrecognized arguments: --out-seg"),
     (["detect", "{frame}", "--area-min", "abc"],
      "argument --area-min: invalid int value: 'abc'"),
     (["detect", "{frame}", "--no-such-flag"],
      "unrecognized arguments: --no-such-flag"),
     (["segment", "{frame}"], "invalid choice: 'segment'"),
+    (["ablate", "{frame}"], "invalid choice: 'ablate'"),
     (["detect", "{tmp}/truncated.ppm"], "truncated payload"),
     (["detect", "{frame}", "--centers", "{tmp}/deep.json"],
      "center file is nested too deeply"),
@@ -410,9 +403,10 @@ REPORT_FLAG_REFUSALS = [
 ] + REPORT_FLAG_REFUSALS,
    ids=["ratio_not_a_number", "ratio_nan", "ratio_huge_exponent",
         "ratio_min_above_max", "skip_class_range",
-        "target_class_range", "both_class_flags", "negative_target",
+        "target_class_range", "both_class_flags", "skipped_target",
+        "skipped_given_target", "negative_target",
         "center_without_name", "missing_center_file", "zero_clock",
-        "infinite_clock", "clock_past_float_in_hz", "infinite_clock_ablate",
+        "infinite_clock", "clock_past_float_in_hz",
         "clock_without_report",
         "color_labels_without_seg", "four_bit_centers",
         "many_class_centers", "unwritable_output",
@@ -421,8 +415,8 @@ REPORT_FLAG_REFUSALS = [
         "single_mode", "names_count", "one_class", "nan_latency_clock",
         "infinite_latency_clock", "latency_frame_too_large", "zero_width",
         "verify_output_flag",
-        "ablate_output_flag", "area_not_an_integer", "unknown_flag",
-        "no_segment_subcommand",
+        "area_not_an_integer", "unknown_flag",
+        "no_segment_subcommand", "no_ablate_subcommand",
         "truncated_frame", "deeply_nested_centers", "long_center_value",
         "long_resolution_bits", "long_sides_p6", "long_sides_p3",
         "huge_center_value", "huge_resolution_bits", "latency_dims_past_int",
@@ -517,7 +511,6 @@ REPORT_FLAGS = ["--area-min", "--ratio-min", "--ratio-max", "--target-class",
 FLAGS = {
     "detect": CONFIG_FLAGS + REPORT_FLAGS,
     "train": ["--bandwidth", "--seed-stride", "--names", "--out-centers"],
-    "ablate": CONFIG_FLAGS,
     "latency": ["--dims", "--classes", "--clock-mhz", "--width", "--height"],
     "verify": CONFIG_FLAGS,
     "synth": ["--width", "--height", "--radius", "--ring", "--seed", "--sigma"],
@@ -534,7 +527,7 @@ def test_each_subcommand_takes_only_the_flags_it_reads(capsys):
         taken[sub] = re.findall(r"^  (--[\w-]+)", capsys.readouterr().out,
                                 re.MULTILINE)
     assert taken == FLAGS
-    assert sum(map(len, taken.values())) == 36
+    assert sum(map(len, taken.values())) == 32
 
 
 # the flags that take no number

@@ -19,8 +19,10 @@ import pytest
 from signpipe.image import ImageClass, cbcr_to_rgb
 from signpipe.pipeline import PipelineConfig, run_pipeline
 from signpipe.synthetic import (BACKGROUND_CHROMA, RED_CHROMA, YELLOW_CHROMA,
-                                add_chroma_noise, background_frame,
-                                chroma_constant, disc_frame, paint_disc)
+                                add_chroma_noise, chroma_constant, disc_frame,
+                                paint_disc)
+
+from frames import background_frame
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 

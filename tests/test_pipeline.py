@@ -28,8 +28,8 @@ from signpipe.image import (ImageClass, ImageGray, ImageRGB, cbcr_to_rgb,
                             rgb_to_cbcr)
 from signpipe.mdc import (ClassCenterFile, centers_from_json, centers_to_json,
                           classify_image)
-from signpipe.pipeline import (PipelineConfig, ablation_stats, default_centers,
-                               render_labels, run_pipeline, verify_frame)
+from signpipe.pipeline import (PipelineConfig, default_centers, render_labels,
+                               run_pipeline, verify_frame)
 from signpipe.synthetic import (BACKGROUND_CHROMA, RED_CHROMA, YELLOW_CHROMA,
                                 chroma_constant, disc_frame, paint_disc)
 
@@ -169,14 +169,12 @@ SETTING_ROWS = ([(f"skip_{kind}", {"skip_classes": {v}}, message)
      "config must be a PipelineConfig, not NoneType"),
     (lambda: verify_frame(None, FRAME),
      "config must be a PipelineConfig, not NoneType"),
-    (lambda: ablation_stats(None, FRAME),
-     "config must be a PipelineConfig, not NoneType"),
     (lambda: run_pipeline(PipelineConfig(), rgb_to_cbcr(FRAME)),
      "image must be an ImageRGB, not ImageCbCr"),
     # the conversion's own check: verify_frame calls it on the whole frame
     (lambda: verify_frame(PipelineConfig(), rgb_to_cbcr(FRAME)),
      "image must be an ImageRGB, not ImageCbCr"),
-    (lambda: ablation_stats(PipelineConfig(), FRAME.data),
+    (lambda: run_pipeline(PipelineConfig(), FRAME.data),
      "image must be an ImageRGB, not ndarray"),
     # the stages' own checks: a chroma median was taken over the
     # interleaved channels, and an array was an AttributeError
@@ -194,9 +192,9 @@ SETTING_ROWS = ([(f"skip_{kind}", {"skip_classes": {v}}, message)
         "three_dim_centers", "classes_past_256", "fractional_skip",
         "bool_skip", "int_skip_set", "unhashable_skip", "int_centers",
         "int_rule", "str_gaussian", "int_median", "none_gaussian",
-        "none_config_run", "none_config_verify", "none_config_ablation",
+        "none_config_run", "none_config_verify",
         "chroma_frame_run", "chroma_frame_verify",
-        "pixel_array_ablation", "rgb_gaussian", "array_gaussian",
+        "pixel_array_run", "rgb_gaussian", "array_gaussian",
         "chroma_median", "array_median", "array_labeling"]
    + [row[0] for row in SETTING_ROWS])
 def test_config_refuses_class_indices_outside_the_center_file(kwargs, message):
@@ -207,16 +205,15 @@ def test_config_refuses_class_indices_outside_the_center_file(kwargs, message):
 
 
 @pytest.mark.parametrize("num_levels, color", [
-    (None, False), (4, False), (256, False), (None, True)])
+    (16, False), (4, False), (256, False), (256, True)])
 def test_render_labels_reads_class_and_label_images_alike(num_levels, color):
     # a uint8 class image times 255 wraps unless widened first
     values = np.arange(256).reshape(16, 16)
     out = render_labels(ImageClass(values), num_levels, color)
     assert out == render_labels(ImageGray(values), num_levels, color)
     if not color:
-        levels = num_levels or 256
         assert out.data[0, 1:4, 0].tolist() == [
-            v * 255 // (levels - 1) for v in (1, 2, 3)]
+            v * 255 // (num_levels - 1) for v in (1, 2, 3)]
 
 
 @st.composite
